@@ -36,6 +36,7 @@ from .spectra import EigensolverError
 from .verify import (
     CalibrationError,
     EnsembleConfig,
+    EnsembleReport,
     calibrate_equation_variant,
     convergence_study,
     run_ensemble,
@@ -203,16 +204,20 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _eigenvalues_csv(report: EnsembleReport) -> str:
+    rows = []
+    for r, evs in enumerate(report.eigenvalues):
+        rows.extend((r, i, float(v)) for i, v in enumerate(evs))
+    return _csv_text(["replicate", "index", "lambda"], rows)
+
+
 def _cmd_simulate(cfg: dict) -> dict[str, str]:
     config = _ensemble_config(cfg, variants=())
     report = run_ensemble(config, candidates={})
-    eig_rows = []
-    for r, evs in enumerate(report.eigenvalues):
-        eig_rows.extend((r, i, float(v)) for i, v in enumerate(evs))
     pooled = report.pooled_spectrum().eigenvalues
     esd_rows = [(float(x), (k + 1) / pooled.size) for k, x in enumerate(pooled)]
     return {
-        "eigenvalues.csv": _csv_text(["replicate", "index", "lambda"], eig_rows),
+        "eigenvalues.csv": _eigenvalues_csv(report),
         "esd.csv": _csv_text(["x", "F"], esd_rows),
     }
 
@@ -245,15 +250,12 @@ def _cmd_solve(cfg: dict) -> dict[str, str]:
 def _cmd_compare(cfg: dict) -> dict[str, str]:
     config = _ensemble_config(cfg, variants=(_variant(cfg),))
     report = run_ensemble(config)
-    trace = trace_moment_check(config)
+    trace = trace_moment_check(config, report=report)
     doc = report.to_json()
     doc["trace_check"] = trace.to_json()
     out = {"report.json": _json_text(doc)}
     if cfg.get("dump_eigenvalues"):
-        rows = []
-        for r, evs in enumerate(report.eigenvalues):
-            rows.extend((r, i, float(v)) for i, v in enumerate(evs))
-        out["eigenvalues.csv"] = _csv_text(["replicate", "index", "lambda"], rows)
+        out["eigenvalues.csv"] = _eigenvalues_csv(report)
     return out
 
 
@@ -346,20 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Entry point returning the process exit status."""
     args = build_parser().parse_args(argv)
-    flags = {
-        "command": args.command,
-        "seed": args.seed,
-        "out": args.out,
-        "jobs": args.jobs,
-        "variant": args.variant,
-        "p": args.p,
-        "n": args.n,
-        "y": args.y,
-        "replicates": args.replicates,
-        "grid_points": args.grid_points,
-        "sizes": args.sizes,
-        "dump_eigenvalues": args.dump_eigenvalues,
-    }
+    flags = {key: value for key, value in vars(args).items() if key != "config"}
     written: list[Path] = []
     try:
         cfg = parse_config(args.config, flags)

@@ -47,7 +47,6 @@ __all__ = [
     "LsdSolution",
     "MarchenkoPasturLaw",
     "NumericalError",
-    "SolutionCdf",
     "SolverConfig",
     "all_variants",
     "default_grid",
@@ -159,11 +158,12 @@ def _density_values(f, config: SolverConfig) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def _mean_integrand(f_vals: np.ndarray, s: complex) -> complex:
+def _integrand(f_vals: np.ndarray, s: complex) -> np.ndarray:
+    """Samples of f/(1+fs) on the quadrature grid; rejects a singular 1+fs."""
     w = 1.0 + f_vals * s
     if float(np.min(np.abs(w))) < 1e-12:
         raise NumericalError(f"integrand singular at s = {s!r}")
-    return complex(np.mean(f_vals / w))
+    return f_vals / w
 
 
 def quadrature_integral(f, s: complex, variant: EquationVariant = DEFAULT_VARIANT,
@@ -172,16 +172,13 @@ def quadrature_integral(f, s: complex, variant: EquationVariant = DEFAULT_VARIAN
 
     Uniform trapezoid on the periodic grid; spectrally accurate for smooth f.
     """
-    mean = _mean_integrand(_density_values(f, config), complex(s))
+    mean = complex(np.mean(_integrand(_density_values(f, config), complex(s))))
     return mean * _TWO_PI if variant.normalization == "raw" else mean
 
 
 def _residual_parts(f_vals: np.ndarray, s: complex, z: complex, scale: float):
     """Residual R(s), the map target T(s), and the derivative R'(s)."""
-    w = 1.0 + f_vals * s
-    if float(np.min(np.abs(w))) < 1e-12:
-        raise NumericalError(f"integrand singular at s = {s!r}")
-    a = f_vals / w
+    a = _integrand(f_vals, s)
     mean = complex(np.mean(a))
     residual = 1.0 / s + z - scale * mean
     target = 1.0 / (-z + scale * mean)
@@ -404,6 +401,8 @@ class LsdSolution:
             "cdf": [float(v) for v in self.cdf_values],
             "atom": self.atom_at_zero,
             "support": [self.support[0], self.support[1]],
+            "min_raw_density": self.min_raw_density,
+            "density_mass": self.density_mass,
         }
 
     def to_json_str(self) -> str:
@@ -421,6 +420,8 @@ class LsdSolution:
             cdf_values=np.asarray(doc["cdf"], dtype=float),
             atom_at_zero=float(doc["atom"]),
             support=(float(doc["support"][0]), float(doc["support"][1])),
+            min_raw_density=float(doc.get("min_raw_density", 0.0)),
+            density_mass=float(doc.get("density_mass", 0.0)),
         )
 
 
@@ -449,8 +450,6 @@ def solve_lsd(
     total = float(cumulative[-1])
     atom = min(max(1.0 - total, 0.0), 1.0)
     cdf_vals = np.minimum(atom + cumulative, 1.0)
-    passing = xs[rho > density_floor]
-    support = (float(passing[0]), float(passing[-1])) if passing.size else (0.0, 0.0)
     return LsdSolution(
         y=float(y),
         variant=variant,
@@ -459,7 +458,7 @@ def solve_lsd(
         density=rho,
         cdf_values=cdf_vals,
         atom_at_zero=atom,
-        support=support,
+        support=_support_interval(xs, rho, density_floor),
         min_raw_density=float(np.min(rho_raw)),
         density_mass=total,
     )
@@ -482,41 +481,54 @@ def _head_mass(xs: np.ndarray, rho: np.ndarray) -> float:
     return float(rho[0]) * float(xs[0]) / (g + 1.0)
 
 
-class SolutionCdf:
-    """Continuous CDF view of a solved law (atom at zero plus interpolation)."""
+class _TabulatedCdf:
+    """Continuous CDF interpolated linearly through a table that starts at 0.
+
+    Zero below the origin, `right` beyond the last knot.
+    """
 
     is_step = False
 
-    def __init__(self, solution: LsdSolution):
-        self.solution = solution
-        self._knots = np.concatenate([[0.0], solution.grid])
-        self._vals = np.concatenate([[solution.atom_at_zero], solution.cdf_values])
+    def __init__(self, knots: np.ndarray, values: np.ndarray, right: float,
+                 support: tuple[float, float]):
+        self._knots = knots
+        self._values = values
+        self._right = right
+        self._support = support
+
+    def _interp(self, xs: np.ndarray) -> np.ndarray:
+        return np.interp(xs, self._knots, self._values, right=self._right)
 
     def cdf(self, x):
         xs = np.asarray(x, dtype=float)
-        out = np.interp(xs, self._knots, self._vals, left=0.0, right=self._vals[-1])
-        return np.where(xs < 0.0, 0.0, out)
+        return np.where(xs < 0.0, 0.0, self._interp(xs))
 
     def cdf_left(self, x):
         xs = np.asarray(x, dtype=float)
-        out = np.interp(xs, self._knots, self._vals, left=0.0, right=self._vals[-1])
-        return np.where(xs <= 0.0, 0.0, out)
+        return np.where(xs <= 0.0, 0.0, self._interp(xs))
 
     def breakpoints(self) -> np.ndarray:
         return self._knots
 
     def support(self) -> tuple[float, float]:
-        return 0.0, float(self.solution.grid[-1])
+        return self._support
 
 
-def lsd_cdf(solution: LsdSolution) -> SolutionCdf:
-    """CDF evaluable built from a solved law."""
-    return SolutionCdf(solution)
+def lsd_cdf(solution: LsdSolution) -> _TabulatedCdf:
+    """CDF evaluable built from a solved law: the atom at zero, then the grid CDF."""
+    values = np.concatenate([[solution.atom_at_zero], solution.cdf_values])
+    return _TabulatedCdf(np.concatenate([[0.0], solution.grid]), values, values[-1],
+                         (0.0, float(solution.grid[-1])))
 
 
 def support_estimate(solution: LsdSolution, density_floor: float = 1e-6) -> tuple[float, float]:
     """Smallest grid interval containing all points with density above the floor."""
-    passing = solution.grid[solution.density > density_floor]
+    return _support_interval(solution.grid, solution.density, density_floor)
+
+
+def _support_interval(grid: np.ndarray, density: np.ndarray,
+                      density_floor: float) -> tuple[float, float]:
+    passing = grid[density > density_floor]
     if passing.size == 0:
         return 0.0, 0.0
     return float(passing[0]), float(passing[-1])
@@ -527,7 +539,7 @@ def support_estimate(solution: LsdSolution, density_floor: float = 1e-6) -> tupl
 # ---------------------------------------------------------------------------
 
 
-class MarchenkoPasturLaw:
+class MarchenkoPasturLaw(_TabulatedCdf):
     """Marchenko-Pastur law with aspect ratio y and scale sigma2.
 
     Density (2 pi sigma2 y x)^{-1} sqrt((b-x)(x-a)) on [a, b] with
@@ -536,8 +548,6 @@ class MarchenkoPasturLaw:
     the substitution x = a cos^2(t) + b sin^2(t), which removes the
     square-root edges.
     """
-
-    is_step = False
 
     def __init__(self, y: float, sigma2: float = 1.0, table_points: int = 4096):
         if y <= 0 or sigma2 <= 0:
@@ -563,8 +573,13 @@ class MarchenkoPasturLaw:
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))]
         )
-        self._knots = x
-        self._table = self.atom + cum
+        # the leading (0, atom) knot interpolates to the constant atom on [0, a)
+        super().__init__(
+            np.concatenate([[0.0], x]),
+            np.concatenate([[self.atom], self.atom + cum]),
+            1.0,
+            (0.0 if self.atom > 0 else float(self.a), float(self.b)),
+        )
 
     def density(self, x):
         xs = np.asarray(x, dtype=float)
@@ -590,22 +605,6 @@ class MarchenkoPasturLaw:
             if m.imag > 0:
                 return complex(m / self.sigma2)
         raise NumericalError(f"no upper-half-plane root at z = {z!r}")
-
-    def cdf(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.interp(xs, self._knots, self._table, left=self.atom, right=1.0)
-        return np.where(xs < 0.0, 0.0, out)
-
-    def cdf_left(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.interp(xs, self._knots, self._table, left=self.atom, right=1.0)
-        return np.where(xs <= 0.0, 0.0, out)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.concatenate([[0.0], self._knots])
-
-    def support(self) -> tuple[float, float]:
-        return (0.0 if self.atom > 0 else float(self.a)), float(self.b)
 
 
 def marchenko_pastur(y: float, sigma2: float = 1.0) -> MarchenkoPasturLaw:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .process import ProcessSpec, autocovariance, coefficients, draw_innovations
+from .process import ProcessSpec, _filtered_record, autocovariance, coefficients, draw_innovations
 
 __all__ = [
     "MatrixShape",
@@ -68,20 +68,8 @@ def truncated_segment_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarra
     horizon equal to n the result is bitwise identical to the untruncated
     matrix.
     """
-    from scipy import signal
-
-    j = spec.horizon
-    length = shape.cells
-    draws = draw_innovations(spec.innovations, j + length)
-    m = min(j, shape.n) + 1
-    kernel = coefficients(spec.model, m)
-    nz = np.nonzero(kernel)[0]
-    kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-    if kernel.size == 1 and kernel[0] == 1.0:
-        rec = draws[j : j + length].copy()
-    else:
-        rec = signal.convolve(draws, kernel, mode="full", method="auto")[j : j + length]
-    return rec.reshape(shape.p, shape.n)
+    kernel = coefficients(spec.model, min(spec.horizon, shape.n) + 1)
+    return _filtered_record(spec, kernel, shape.cells).reshape(shape.p, shape.n)
 
 
 def innovation_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarray:

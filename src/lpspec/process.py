@@ -444,14 +444,22 @@ def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
             f"record of length {length} at horizon {spec.horizon} exceeds the "
             "supported index range"
         )
-    draws = draw_innovations(spec.innovations, spec.horizon + length)
-    kernel = spec.coefficient_array()
+    return _filtered_record(spec, spec.coefficient_array(), length)
+
+
+def _filtered_record(spec: ProcessSpec, kernel: np.ndarray, length: int) -> np.ndarray:
+    """X_1..X_length from the spec's innovation stream filtered by `kernel`.
+
+    Trailing zero coefficients are trimmed; an identity kernel returns a copy
+    of the draws instead of convolving.
+    """
+    j = spec.horizon
+    draws = draw_innovations(spec.innovations, j + length)
     nz = np.nonzero(kernel)[0]
     kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
     if kernel.size == 1 and kernel[0] == 1.0:
-        return draws[spec.horizon :].copy()
-    conv = signal.convolve(draws, kernel, mode="full", method="auto")
-    return conv[spec.horizon : spec.horizon + length]
+        return draws[j:].copy()
+    return signal.convolve(draws, kernel, mode="full", method="auto")[j : j + length]
 
 
 class SpectralDensity:

@@ -78,7 +78,7 @@ def sym_eigenvalues(matrix) -> EmpiricalSpectrum:
         raise EigensolverError(
             f"eigenvalue sum {np.sum(ev):.12g} violates trace {trace:.12g}"
         )
-    return EmpiricalSpectrum(np.sort(ev), m.shape[0])
+    return EmpiricalSpectrum(ev, m.shape[0])
 
 
 def esd_cdf(spectrum: EmpiricalSpectrum, x) -> np.ndarray | float:

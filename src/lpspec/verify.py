@@ -184,11 +184,12 @@ class EnsembleReport:
         }
 
 
-def _candidate_cdfs(config: EnsembleConfig) -> dict:
-    spec0 = config.replicate_spec(0)
-    f = spectral_density(spec0)
+def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
+    """Solved laws of the config's variants at ratio `y` (default: p/n)."""
+    f = spectral_density(config.replicate_spec(0))
+    y = config.y if y is None else y
     return {
-        v.label: lsd_cdf(solve_lsd(f, config.y, variant=v, config=config.solver))
+        v.label: lsd_cdf(solve_lsd(f, y, variant=v, config=config.solver))
         for v in config.variants
     }
 
@@ -280,18 +281,23 @@ class TraceCheck:
         }
 
 
-def trace_moment_check(config: EnsembleConfig, tolerance: float = 0.02) -> TraceCheck:
+def trace_moment_check(
+    config: EnsembleConfig, tolerance: float = 0.02, report: EnsembleReport | None = None
+) -> TraceCheck:
     """Compare the mean normalized trace against its analytic expectation.
 
     No eigendecomposition is involved: tr(XX^T) is the sum of squared
     entries, and its expectation is (n/p) times the coefficient energy.
+    Given the `report` of an ensemble run on `config`, its trace statistics
+    are used; otherwise every replicate record is simulated here.
     """
-    stats_ = []
-    shape = config.shape
-    for r in range(config.replicates):
-        spec = config.replicate_spec(r)
-        record = simulate_record(spec, shape.cells)
-        stats_.append(float(np.sum(record * record)) / (config.p * config.p))
+    if report is not None:
+        stats_ = list(report.trace_stats)
+    else:
+        stats_ = []
+        for r in range(config.replicates):
+            record = simulate_record(config.replicate_spec(r), config.shape.cells)
+            stats_.append(float(np.sum(record * record)) / (config.p * config.p))
     mean = float(np.mean(stats_))
     target = (config.n / config.p) * total_energy(config.model)
     rel = abs(mean - target) / abs(target)
@@ -449,22 +455,18 @@ def convergence_study(
 ) -> StudyResult:
     """Median KS distance to the solved law for each matrix size.
 
-    The law depends only on (f, y), so it is solved once and reused across
-    sizes.  Returns per-size medians and interquartile ranges plus the
-    Spearman rank correlation of median KS against n (negative under
-    convergence).
+    The law depends only on (f, y), so it is solved once at the nominal y
+    and reused across sizes, whose p/n only approximates y.  Returns per-size
+    medians and interquartile ranges plus the Spearman rank correlation of
+    median KS against n (negative under convergence).
     """
     sizes = [int(s) for s in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
-    rows = []
-    candidates = None
-    medians = []
-    for n in sizes:
-        p = max(1, round(y * n))
-        config = EnsembleConfig(
+    configs = [
+        EnsembleConfig(
             model=model,
-            p=p,
+            p=max(1, round(y * n)),
             n=n,
             replicates=replicates,
             base_seed=base_seed,
@@ -473,15 +475,19 @@ def convergence_study(
             solver=solver,
             jobs=jobs,
         )
-        if candidates is None:
-            candidates = _candidate_cdfs(config)
+        for n in sizes
+    ]
+    candidates = _candidate_cdfs(configs[0], y) if configs else {}
+    rows = []
+    medians = []
+    for config in configs:
         report = run_ensemble(config, candidates)
         ks = np.array([d[variant.label] for d in report.per_replicate_ks])
         q1, med, q3 = np.percentile(ks, [25, 50, 75])
         rows.append(
             {
-                "n": n,
-                "p": p,
+                "n": config.n,
+                "p": config.p,
                 "ks_median": float(med),
                 "ks_iqr": float(q3 - q1),
             }

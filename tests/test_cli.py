@@ -175,6 +175,28 @@ class TestCompareCommand:
         assert rows[0] == "replicate,index,lambda"
         assert len(rows) == 1 + 2 * 16
 
+    def test_trace_check_reuses_ensemble_records(self, tmp_path, monkeypatch):
+        from lpspec import verify
+
+        calls = []
+        simulate = verify.simulate_record
+
+        def counting(spec, length):
+            calls.append(spec.innovations.seed)
+            return simulate(spec, length)
+
+        monkeypatch.setattr(verify, "simulate_record", counting)
+        out = tmp_path / "run"
+        code = run([
+            "compare", "--p", "32", "--n", "48", "--replicates", "3",
+            "--seed", "5", "--out", str(out),
+            "--config", write_config(tmp_path, {"command": "compare", "model": {"kind": "ma", "theta": [0.5]}}),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["trace_check"]["values"] == report["trace_stats"]
+        assert sorted(calls) == sorted(report["replicate_seeds"])
+
     def test_byte_identical_across_jobs(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -233,3 +255,24 @@ class TestCalibrateCommand:
         evidence = (out / "evidence.csv").read_text().strip().splitlines()
         assert evidence[0] == "seed,variant,ks_pooled,passed"
         assert len(evidence) == 1 + 8 * 3
+
+
+def test_benchmark_wrap_targets_resolve():
+    # the benchmark tracer skips missing targets silently; a renamed call
+    # site would zero its per-layer metrics without this check
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    missing = [
+        (module, attr) for module, attr, _ in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

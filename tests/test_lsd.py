@@ -181,6 +181,22 @@ class TestMarchenkoPastur:
         assert vals[0] == 0.0
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("y", [0.25, 1.0, 4.0])
+    def test_cdf_is_the_table_interpolation(self, y):
+        # the atom on [0, a), linear between table knots, exactly 1 beyond b
+        mp = marchenko_pastur(y, sigma2=0.5)
+        knots = mp.breakpoints()[1:]
+        table = np.asarray(mp.cdf(knots))
+        xs = np.concatenate(
+            [[-1.0, -1e-300, 0.0, 0.5 * mp.a, mp.b, 1.5 * mp.b], 0.5 * (knots[1:] + knots[:-1])]
+        )
+        ref = np.interp(xs, knots, table, left=mp.atom, right=1.0)
+        assert np.asarray(mp.cdf(xs)).tobytes() == np.where(xs < 0.0, 0.0, ref).tobytes()
+        assert np.asarray(mp.cdf_left(xs)).tobytes() == np.where(xs <= 0.0, 0.0, ref).tobytes()
+        assert float(mp.cdf(0.0)) == mp.atom
+        assert float(mp.cdf(mp.b)) == table[-1]
+        assert float(mp.cdf(1.5 * mp.b)) == 1.0
+
 
 @pytest.fixture(scope="module")
 def mp1_solution():
@@ -200,6 +216,28 @@ class TestSolveLsd:
         cdf = lsd_cdf(mp1_solution)
         assert abs(float(cdf.cdf(4.0)) - 1.0) <= 1e-3
         assert float(cdf.cdf(-1e-9)) == 0.0
+
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    def test_cdf_is_the_grid_interpolation(self, y):
+        # atom at the origin, linear between grid points, last value beyond
+        variant = EquationVariant("normalized", "yinv", "direct")
+        sol = solve_lsd(MA1, y, variant=variant, config=SolverConfig(quadrature_points=128),
+                        grid_points=128)
+        cdf = lsd_cdf(sol)
+        knots = np.concatenate([[0.0], sol.grid])
+        vals = np.concatenate([[sol.atom_at_zero], sol.cdf_values])
+        xs = np.concatenate(
+            [[-1.0, -1e-300, 0.0, 0.5 * sol.grid[0], sol.grid[-1], 2.0 * sol.grid[-1]],
+             0.5 * (knots[1:] + knots[:-1])]
+        )
+        ref = np.interp(xs, knots, vals, left=0.0, right=vals[-1])
+        assert np.asarray(cdf.cdf(xs)).tobytes() == np.where(xs < 0.0, 0.0, ref).tobytes()
+        assert np.asarray(cdf.cdf_left(xs)).tobytes() == np.where(xs <= 0.0, 0.0, ref).tobytes()
+        assert float(cdf.cdf(0.0)) == sol.atom_at_zero
+        assert float(cdf.cdf(2.0 * sol.grid[-1])) == sol.cdf_values[-1]
+        np.testing.assert_array_equal(cdf.breakpoints(), knots)
+        assert cdf.support() == (0.0, float(sol.grid[-1]))
+        assert sol.support == support_estimate(sol)
 
     def test_cdf_midpoint_value(self, mp1_solution):
         mp = marchenko_pastur(1.0)
@@ -272,3 +310,5 @@ class TestSolveLsd:
         np.testing.assert_allclose(back.density, mp1_solution.density)
         assert back.variant == mp1_solution.variant
         assert back.atom_at_zero == mp1_solution.atom_at_zero
+        assert back.mass() == mp1_solution.mass()
+        assert back.min_raw_density == mp1_solution.min_raw_density

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from lpspec.matrices import (
     MatrixShape,
@@ -100,6 +101,20 @@ class TestTruncatedSegmentMatrix:
         bound = np.sum(np.abs(c[shape.n + 1 :])) * np.max(np.abs(draws))
         diff = np.max(np.abs(x - xt))
         assert 0.0 < diff <= bound + 1e-12  # small allowance for fp rounding
+
+    @pytest.mark.parametrize(
+        "model,horizon",
+        [(CoefficientModel.ar1(0.9), 200), (CoefficientModel.explicit([1.0, 0.5, 0.0, 0.0]), 40)],
+    )
+    def test_bitwise_reference_beyond_horizon(self, model, horizon):
+        # horizon > n: the record's stream filtered by c_0..c_n, trailing zeros trimmed
+        shape = MatrixShape(8, 3)
+        spec = make_spec(model, shape.n, seed=8, horizon=horizon)
+        draws = draw_innovations(spec.innovations, horizon + shape.cells)
+        kernel = np.trim_zeros(coefficients(model, shape.n + 1), "b")
+        full = signal.convolve(draws, kernel, mode="full", method="auto")
+        ref = full[horizon : horizon + shape.cells].reshape(shape.p, shape.n)
+        assert truncated_segment_matrix(spec, shape).tobytes() == ref.tobytes()
 
 
 class TestInnovationMatrix:

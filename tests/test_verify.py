@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lpspec.lsd import EquationVariant, marchenko_pastur
+from lpspec.lsd import EquationVariant, SolverConfig, marchenko_pastur
 from lpspec.process import CoefficientModel
 from lpspec.spectra import EigensolverError
 from lpspec.verify import (
@@ -162,6 +162,11 @@ class TestTraceMoment:
         assert check.target == 2.0
         assert check.passed
 
+    def test_report_stats_equal_resimulated(self):
+        cfg = EnsembleConfig(model=CoefficientModel.ma([0.5]), p=48, n=80, replicates=3, base_seed=7)
+        report = run_ensemble(cfg, candidates={})
+        assert trace_moment_check(cfg, report=report) == trace_moment_check(cfg)
+
 
 class TestCalibration:
     def test_degenerate_ratio_rejected(self):
@@ -195,6 +200,23 @@ class TestConvergenceStudy:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             convergence_study(WHITE, 1.0, [64, 32], replicates=1, base_seed=0)
+
+    def test_law_solved_at_nominal_ratio(self, monkeypatch):
+        # round(0.3 * 25) / 25 = 0.32 would be the first size's own ratio
+        import lpspec.verify as verify_mod
+
+        ratios = []
+        solve = verify_mod.solve_lsd
+
+        def recording(f, y, **kwargs):
+            ratios.append(y)
+            return solve(f, y, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "solve_lsd", recording)
+        res = convergence_study(WHITE, 0.3, [25, 50], replicates=1, base_seed=0,
+                                solver=SolverConfig(quadrature_points=64))
+        assert ratios == [0.3]
+        assert [(r["n"], r["p"]) for r in res.rows] == [(25, 8), (50, 15)]
 
     def test_trend_negative_rho(self):
         res = convergence_study(WHITE, 1.0, [32, 64, 128], replicates=3, base_seed=4)
