@@ -17,12 +17,10 @@ from .lsd import (
     SolverConfig,
     all_variants,
     lsd_cdf,
-    lsd_density,
     marchenko_pastur,
     quadrature_integral,
     solve_lsd,
     solve_stieltjes,
-    support_estimate,
 )
 from .matrices import (
     MatrixShape,
@@ -50,7 +48,6 @@ from .spectra import (
     EmpiricalCdf,
     EmpiricalSpectrum,
     empirical_stieltjes,
-    esd_cdf,
     ks_distance,
     sym_eigenvalues,
     wasserstein1,

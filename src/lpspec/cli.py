@@ -49,28 +49,11 @@ log = logging.getLogger("lpspec.cli")
 
 _COMMANDS = ("simulate", "solve", "compare", "calibrate", "study")
 
-_TOP_KEYS = {
-    "command",
-    "model",
-    "innovations",
-    "p",
-    "n",
-    "y",
-    "replicates",
-    "sizes",
-    "seed",
-    "seeds",
-    "variant",
-    "solver",
-    "grid_points",
-    "horizon",
-    "tail_tol",
-    "out",
-    "jobs",
-    "dump_eigenvalues",
-}
+# solver key -> value type
+_SOLVER_KEYS = {"quadrature_points": int, "max_iterations": int,
+                "damping": float, "residual_tol": float, "epsilon_floor": float}
 
-_SOLVER_KEYS = {"quadrature_points", "max_iterations", "damping", "residual_tol", "epsilon_floor"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 _DEFAULTS = {
     "seed": 0,
@@ -82,9 +65,29 @@ _DEFAULTS = {
     "dump_eigenvalues": False,
 }
 
+_TOP_KEYS = set(_DEFAULTS) | {"command", "model", "innovations", "p", "n", "y", "sizes",
+                              "seeds", "solver", "horizon", "tail_tol"}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """Reject a JSON value of the wrong type; integers count as numbers."""
+    if not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{what} must be {_KIND_NAMES[kind]}")
+
+
+def _converted(cfg: dict, key: str, convert, what: str):
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r} must be {what}") from None
+
+
+def _int_list(values) -> list[int]:
+    return [int(v) for v in values]
 
 
 def _require(cfg: dict, key: str):
@@ -129,39 +132,43 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
     solver_cfg = cfg.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ConfigError("solver must be a JSON object")
-    unknown = set(solver_cfg) - _SOLVER_KEYS
+    unknown = set(solver_cfg) - set(_SOLVER_KEYS)
     if unknown:
         raise ConfigError(f"solver: unknown key {sorted(unknown)[0]!r}")
+    for key, value in solver_cfg.items():
+        _check_type(value, _SOLVER_KEYS[key], f"solver: key {key!r}")
     cfg["solver"] = solver_cfg
 
     if "model" in cfg:
         cfg["model"] = CoefficientModel.from_json(cfg["model"]).to_json()
     if "innovations" in cfg:
-        inn = InnovationSpec.from_json(cfg["innovations"])
-        cfg["innovations"] = inn.to_json()
+        cfg["innovations"] = InnovationSpec.from_json(cfg["innovations"]).to_json()
 
+    for key in ("variant", "out"):
+        _check_type(cfg[key], str, f"key {key!r}")
     try:
         EquationVariant.parse(cfg["variant"])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
+    # null means "not given" only for keys without a default
     for key in ("p", "n", "replicates", "jobs", "grid_points", "seed", "horizon"):
-        if key in cfg and cfg[key] is not None:
-            try:
-                cfg[key] = int(cfg[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"key {key!r} must be an integer")
+        if key in cfg and (cfg[key] is not None or key in _DEFAULTS):
+            cfg[key] = _converted(cfg, key, int, "an integer")
             if key != "horizon" and cfg[key] < 0:
                 raise ConfigError(f"key {key!r} must be non-negative")
-    if "y" in cfg and cfg["y"] is not None:
-        cfg["y"] = float(cfg["y"])
+    if cfg.get("y") is not None:
+        cfg["y"] = _converted(cfg, "y", float, "a number")
         if cfg["y"] <= 0:
             raise ConfigError("key 'y' must be positive")
-    if "sizes" in cfg and cfg["sizes"] is not None:
-        try:
-            cfg["sizes"] = [int(s) for s in cfg["sizes"]]
-        except (TypeError, ValueError):
-            raise ConfigError("key 'sizes' must be a list of integers")
+    if "tail_tol" in cfg:
+        _check_type(cfg["tail_tol"], float, "key 'tail_tol'")
+    if cfg.get("sizes") is not None:
+        cfg["sizes"] = _converted(cfg, "sizes", _int_list, "a list of integers")
+    if cfg.get("seeds") is not None:
+        # checked, not stored: the manifest echoes the seeds as given
+        if not _converted(cfg, "seeds", _int_list, "a non-empty list of integers"):
+            raise ConfigError("key 'seeds' must be a non-empty list of integers")
     return cfg
 
 

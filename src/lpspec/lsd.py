@@ -34,7 +34,6 @@ walks Im z down geometrically with warm restarts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,15 +50,17 @@ __all__ = [
     "all_variants",
     "default_grid",
     "lsd_cdf",
-    "lsd_density",
     "marchenko_pastur",
     "quadrature_integral",
     "solve_lsd",
     "solve_stieltjes",
-    "support_estimate",
 ]
 
 _TWO_PI = 2.0 * math.pi
+# density level above which a grid point belongs to the reported support
+_DENSITY_FLOOR = 1e-6
+# knots of the Marchenko-Pastur CDF table
+_MP_TABLE_POINTS = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -301,25 +302,15 @@ def _to_direct(u: complex, z: complex, y: float, variant: EquationVariant) -> co
     return (u + (1.0 - r) / z) / r
 
 
-def lsd_density(
-    f,
-    y: float,
-    x_grid,
-    variant: EquationVariant = DEFAULT_VARIANT,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def _density_profile(f, y, xs, variant, config):
     """Density samples on a strictly increasing positive grid.
 
     Realizes rho(x) = (1/pi) * lim Im s(x + i eps) by linear Richardson
     extrapolation from eps and 2*eps (eps = config.epsilon_floor), marching
-    along the grid with warm starts.  Negative extrapolation noise is clipped
-    at zero.
+    along the grid with warm starts.  Returns the density with negative
+    extrapolation noise clipped at zero, the unclipped density, and the
+    law's transform at x + i eps.
     """
-    rho, _, _ = _density_profile(f, y, np.asarray(x_grid, dtype=float), variant, config)
-    return rho
-
-
-def _density_profile(f, y, xs, variant, config):
     if xs.ndim != 1 or xs.size < 1:
         raise ValueError("x_grid must be a non-empty 1-d array")
     if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
@@ -405,9 +396,6 @@ class LsdSolution:
             "density_mass": self.density_mass,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     @classmethod
     def from_json(cls, doc: dict) -> "LsdSolution":
         s = np.asarray(doc["s_re"], dtype=float) + 1j * np.asarray(doc["s_im"], dtype=float)
@@ -432,12 +420,13 @@ def solve_lsd(
     variant: EquationVariant = DEFAULT_VARIANT,
     config: SolverConfig = DEFAULT_CONFIG,
     grid_points: int = 1024,
-    density_floor: float = 1e-6,
 ) -> LsdSolution:
     """Full solve: density on a grid, cumulative CDF, zero atom, support.
 
     The atom at zero is 1 minus the integrated density (clipped to [0, 1]),
-    which is stabler than reading it off the transform's asymptotics.
+    which is stabler than reading it off the transform's asymptotics.  The
+    support is the smallest grid interval holding every point with density
+    above 1e-6.
     """
     if y <= 0:
         raise ValueError("aspect ratio y must be positive")
@@ -450,6 +439,7 @@ def solve_lsd(
     total = float(cumulative[-1])
     atom = min(max(1.0 - total, 0.0), 1.0)
     cdf_vals = np.minimum(atom + cumulative, 1.0)
+    passing = xs[rho > _DENSITY_FLOOR]
     return LsdSolution(
         y=float(y),
         variant=variant,
@@ -458,7 +448,7 @@ def solve_lsd(
         density=rho,
         cdf_values=cdf_vals,
         atom_at_zero=atom,
-        support=_support_interval(xs, rho, density_floor),
+        support=(float(passing[0]), float(passing[-1])) if passing.size else (0.0, 0.0),
         min_raw_density=float(np.min(rho_raw)),
         density_mass=total,
     )
@@ -521,19 +511,6 @@ def lsd_cdf(solution: LsdSolution) -> _TabulatedCdf:
                          (0.0, float(solution.grid[-1])))
 
 
-def support_estimate(solution: LsdSolution, density_floor: float = 1e-6) -> tuple[float, float]:
-    """Smallest grid interval containing all points with density above the floor."""
-    return _support_interval(solution.grid, solution.density, density_floor)
-
-
-def _support_interval(grid: np.ndarray, density: np.ndarray,
-                      density_floor: float) -> tuple[float, float]:
-    passing = grid[density > density_floor]
-    if passing.size == 0:
-        return 0.0, 0.0
-    return float(passing[0]), float(passing[-1])
-
-
 # ---------------------------------------------------------------------------
 # Closed-form Marchenko-Pastur family (the white-noise anchor law)
 # ---------------------------------------------------------------------------
@@ -549,7 +526,7 @@ class MarchenkoPasturLaw(_TabulatedCdf):
     square-root edges.
     """
 
-    def __init__(self, y: float, sigma2: float = 1.0, table_points: int = 4096):
+    def __init__(self, y: float, sigma2: float = 1.0):
         if y <= 0 or sigma2 <= 0:
             raise ValueError("y and sigma2 must be positive")
         self.y = float(y)
@@ -558,7 +535,7 @@ class MarchenkoPasturLaw(_TabulatedCdf):
         self.a = self.sigma2 * (1.0 - root) ** 2
         self.b = self.sigma2 * (1.0 + root) ** 2
         self.atom = max(0.0, 1.0 - 1.0 / self.y)
-        t = np.linspace(0.0, 0.5 * math.pi, table_points)
+        t = np.linspace(0.0, 0.5 * math.pi, _MP_TABLE_POINTS)
         x = self.a * np.cos(t) ** 2 + self.b * np.sin(t) ** 2
         span = self.b - self.a
         integrand = np.zeros_like(x)

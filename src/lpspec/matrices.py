@@ -9,7 +9,6 @@ the intended scale is p, n <= ~2000.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "shift_representation_check",
     "subdiagonal_shift",
     "truncated_segment_matrix",
-    "write_matrix_csv",
 ]
 
 
@@ -43,10 +41,6 @@ class MatrixShape:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
             raise ValueError("shape requires p >= 1 and n >= 1")
-
-    @property
-    def y_n(self) -> float:
-        return self.p / self.n
 
     @property
     def cells(self) -> int:
@@ -214,11 +208,3 @@ def shift_representation_check(
     deviation = float(np.max(np.abs(direct - rebuilt)))
     return deviation <= tol, deviation
 
-
-def write_matrix_csv(matrix, path) -> None:
-    """Write a dense matrix as CSV, one row per line, no header."""
-    m = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([repr(float(v)) for v in row])

@@ -122,13 +122,11 @@ class CoefficientModel:
     @property
     def finite_order(self) -> int | None:
         """Largest non-zero coefficient index, or None for infinite order."""
-        if self.kind == "white_noise":
-            return 0
         if self.kind == "explicit":
             c = np.asarray(self.coeffs)
             nz = np.nonzero(c)[0]
             return int(nz[-1]) if nz.size else 0
-        if self.kind == "ma":
+        if self.kind in ("white_noise", "ma"):
             return len(self.theta)
         if self.kind in ("ar1", "arma"):
             if not any(self.phi):
@@ -188,14 +186,29 @@ class CoefficientModel:
         if kind == "white_noise":
             return cls.white_noise()
         if kind == "explicit":
-            return cls.explicit(doc["coefficients"])
+            return cls.explicit(_model_param(doc, "coefficients", many=True))
         if kind == "ma":
-            return cls.ma(doc["theta"])
+            return cls.ma(_model_param(doc, "theta", many=True))
         if kind == "ar1":
-            return cls.ar1(doc["phi"])
+            return cls.ar1(_model_param(doc, "phi", many=False))
         if kind == "arma":
-            return cls.arma(doc.get("phi", ()), doc.get("theta", ()))
-        return cls.farima(doc["d"])
+            return cls.arma(_model_param(doc, "phi", many=True, default=()),
+                            _model_param(doc, "theta", many=True, default=()))
+        return cls.farima(_model_param(doc, "d", many=False))
+
+
+def _model_param(doc: dict, key: str, many: bool, default=None):
+    """Model parameter `key` as a float or a tuple of floats; errors name the key."""
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"model: missing key {key!r}")
+        return default
+    try:
+        return tuple(float(v) for v in doc[key]) if many else float(doc[key])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"model: key {key!r} must be {'a list of numbers' if many else 'a number'}"
+        ) from None
 
 
 def _noncausal_roots(phi) -> list[complex]:
@@ -209,16 +222,12 @@ def coefficients(model: CoefficientModel, count: int) -> np.ndarray:
     """First `count` coefficients of the causal moving-average representation."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if model.kind == "white_noise":
-        c = np.zeros(count)
-        c[0] = 1.0
-        return c
     if model.kind == "explicit":
         c = np.zeros(count)
         src = np.asarray(model.coeffs)[:count]
         c[: src.size] = src
         return c
-    if model.kind == "ma":
+    if model.kind in ("white_noise", "ma"):  # white noise is MA(0)
         c = np.zeros(count)
         c[0] = 1.0
         th = np.asarray(model.theta)[: max(count - 1, 0)]
@@ -238,11 +247,9 @@ def coefficients(model: CoefficientModel, count: int) -> np.ndarray:
 
 def total_energy(model: CoefficientModel) -> float:
     """Sum of squared coefficients over the full (possibly infinite) sequence."""
-    if model.kind == "white_noise":
-        return 1.0
     if model.kind == "explicit":
         return float(np.sum(np.square(model.coeffs)))
-    if model.kind == "ma":
+    if model.kind in ("white_noise", "ma"):
         return 1.0 + float(np.sum(np.square(model.theta)))
     if model.kind == "ar1":
         phi = model.phi[0]
@@ -362,7 +369,11 @@ class InnovationSpec:
         unknown = set(doc) - {"dist", "seed"}
         if unknown:
             raise ValueError(f"innovations: unknown key {sorted(unknown)[0]!r}")
-        return cls(doc.get("dist", "gaussian"), int(doc.get("seed", 0)))
+        try:
+            seed = int(doc.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ValueError("innovations: key 'seed' must be an integer") from None
+        return cls(doc.get("dist", "gaussian"), seed)
 
 
 def draw_innovations(spec: InnovationSpec, count: int) -> np.ndarray:
@@ -405,31 +416,6 @@ class ProcessSpec:
     def coefficient_array(self) -> np.ndarray:
         return coefficients(self.model, self.horizon + 1)
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model.to_json(),
-            "innovations": self.innovations.to_json(),
-            "horizon": int(self.horizon),
-            "tail_tol": self.tail_tol,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ProcessSpec":
-        if not isinstance(doc, dict):
-            raise ValueError("process spec must be a JSON object")
-        unknown = set(doc) - {"model", "innovations", "horizon", "tail_tol"}
-        if unknown:
-            raise ValueError(f"process: unknown key {sorted(unknown)[0]!r}")
-        if "model" not in doc or "horizon" not in doc:
-            missing = "model" if "model" not in doc else "horizon"
-            raise ValueError(f"process: missing key {missing!r}")
-        return cls(
-            CoefficientModel.from_json(doc["model"]),
-            InnovationSpec.from_json(doc.get("innovations", {})),
-            int(doc["horizon"]),
-            float(doc.get("tail_tol", 1e-12)),
-        )
-
 
 def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
     """Simulate X_1..X_length with X_t = sum_{j=0}^{J} c_j Z_{t-j}.
@@ -467,20 +453,18 @@ class SpectralDensity:
 
     Rational form ``f(w) = |ma(e^{-iw})|^2 / |ar(e^{-iw})|^2`` with the
     polynomials given in ascending powers.  A truncated coefficient list
-    (ar = [1]) and a closed-form ARMA density are both instances; the
-    `provenance` field records which one this is.
+    (ar = [1]) and a closed-form ARMA density are both instances.
     """
 
-    def __init__(self, ma_coeffs, ar_coeffs=(1.0,), provenance: str = "truncated-sum"):
+    def __init__(self, ma_coeffs, ar_coeffs=(1.0,)):
         self.ma_coeffs = np.asarray(ma_coeffs, dtype=float)
         self.ar_coeffs = np.asarray(ar_coeffs, dtype=float)
         if self.ma_coeffs.size == 0 or self.ar_coeffs.size == 0:
             raise ValueError("polynomials must be non-empty")
-        self.provenance = provenance
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "SpectralDensity":
-        return cls(coeffs, provenance="truncated-sum")
+        return cls(coeffs)
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -492,20 +476,12 @@ class SpectralDensity:
             val = val / np.abs(den) ** 2
         return val if val.shape else float(val)
 
-    def max_value(self, probe_points: int = 4096) -> float:
-        grid = np.linspace(0.0, 2.0 * np.pi, probe_points, endpoint=False)
-        return float(np.max(self(grid)))
-
 
 def spectral_density(spec: ProcessSpec) -> SpectralDensity:
     """Spectral density of the process; closed form where the model has one."""
     model = spec.model
-    if model.kind == "white_noise":
-        return SpectralDensity([1.0], provenance="closed-form")
-    if model.kind == "ma":
-        return SpectralDensity(np.concatenate([[1.0], model.theta]), provenance="closed-form")
-    if model.kind in ("ar1", "arma"):
+    if model.kind in ("white_noise", "ma", "ar1", "arma"):
         ma = np.concatenate([[1.0], model.theta])
         ar = np.concatenate([[1.0], [-p for p in model.phi]])
-        return SpectralDensity(ma, ar, provenance="closed-form")
+        return SpectralDensity(ma, ar)
     return SpectralDensity.from_coefficients(spec.coefficient_array())

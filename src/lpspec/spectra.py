@@ -8,8 +8,7 @@ eigenvalue spectra; the limiting-law module provides continuous ones.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +17,9 @@ __all__ = [
     "EmpiricalCdf",
     "EmpiricalSpectrum",
     "empirical_stieltjes",
-    "esd_cdf",
-    "histogram",
     "ks_distance",
     "sym_eigenvalues",
     "wasserstein1",
-    "write_histogram_csv",
-    "write_spectrum_csv",
 ]
 
 _SYMMETRY_TOL = 1e-10
@@ -37,10 +32,9 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
-    """Sorted eigenvalues of a symmetric matrix together with its dimension."""
+    """Sorted eigenvalues of a symmetric matrix."""
 
     eigenvalues: np.ndarray
-    dim: int = field(default=0)
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -49,7 +43,6 @@ class EmpiricalSpectrum:
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "dim", self.dim or ev.size)
 
     def cdf(self) -> "EmpiricalCdf":
         return EmpiricalCdf(self.eigenvalues)
@@ -78,15 +71,7 @@ def sym_eigenvalues(matrix) -> EmpiricalSpectrum:
         raise EigensolverError(
             f"eigenvalue sum {np.sum(ev):.12g} violates trace {trace:.12g}"
         )
-    return EmpiricalSpectrum(ev, m.shape[0])
-
-
-def esd_cdf(spectrum: EmpiricalSpectrum, x) -> np.ndarray | float:
-    """Right-continuous empirical spectral CDF: #(eigenvalues <= x) / p."""
-    ev = spectrum.eigenvalues
-    xs = np.asarray(x, dtype=float)
-    vals = np.searchsorted(ev, xs, side="right") / ev.size
-    return vals if vals.shape else float(vals)
+    return EmpiricalSpectrum(ev)
 
 
 def empirical_stieltjes(spectrum: EmpiricalSpectrum, z: complex) -> complex:
@@ -157,27 +142,3 @@ def wasserstein1(f, g, grid_points: int = 4096) -> float:
     gaps = np.diff(xs)
     return float(np.sum(np.abs(np.asarray(f.cdf(mids)) - np.asarray(g.cdf(mids))) * gaps))
 
-
-def histogram(spectrum: EmpiricalSpectrum, bins: int = 64) -> np.ndarray:
-    """(bin_left, bin_right, mass) rows over the spectrum's range."""
-    counts, edges = np.histogram(spectrum.eigenvalues, bins=bins)
-    mass = counts / spectrum.eigenvalues.size
-    return np.column_stack([edges[:-1], edges[1:], mass])
-
-
-def write_spectrum_csv(spectrum: EmpiricalSpectrum, path) -> None:
-    """One-column CSV of eigenvalues."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda"])
-        for v in spectrum.eigenvalues:
-            writer.writerow([repr(float(v))])
-
-
-def write_histogram_csv(spectrum: EmpiricalSpectrum, path, bins: int = 64) -> None:
-    rows = histogram(spectrum, bins)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "mass"])
-        for left, right, mass in rows:
-            writer.writerow([repr(float(left)), repr(float(right)), repr(float(mass))])

@@ -16,7 +16,7 @@ the worker count cannot change a single output byte.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -65,6 +65,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# memory budget of an ensemble: p * n * replicates matrix cells
+_MAX_CELLS = 1 << 25
+# pooled KS every non-selected variant must reach in a decisive calibration
+_FAIL_THRESHOLD = 0.10
 
 
 def splitmix64(value: int) -> int:
@@ -103,7 +107,6 @@ class EnsembleConfig:
     horizon: int | None = None
     tail_tol: float = 1e-12
     jobs: int = 1
-    max_cells: int = 1 << 25
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
@@ -113,10 +116,10 @@ class EnsembleConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         cells = self.p * self.n * self.replicates
-        if cells > self.max_cells:
+        if cells > _MAX_CELLS:
             raise ValueError(
                 f"p*n*replicates = {cells} exceeds the memory budget of "
-                f"{self.max_cells} cells"
+                f"{_MAX_CELLS} cells"
             )
 
     @property
@@ -272,13 +275,7 @@ class TraceCheck:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "values": list(self.values),
-            "mean": self.mean,
-            "target": self.target,
-            "relative_error": self.relative_error,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def trace_moment_check(
@@ -310,7 +307,6 @@ class CalibrationVerdict:
     evidence: tuple[dict, ...]
     confirmation: dict
     pass_threshold: float
-    fail_threshold: float
 
     def to_json(self) -> dict:
         return {
@@ -318,7 +314,7 @@ class CalibrationVerdict:
             "evidence": list(self.evidence),
             "confirmation": self.confirmation,
             "pass_threshold": self.pass_threshold,
-            "fail_threshold": self.fail_threshold,
+            "fail_threshold": _FAIL_THRESHOLD,
         }
 
 
@@ -329,18 +325,16 @@ def calibrate_equation_variant(
     base_seeds: tuple[int, ...] = (1, 2, 3),
     distribution: str = "gaussian",
     solver: SolverConfig = DEFAULT_CONFIG,
-    confirm_model: CoefficientModel | None = None,
     pass_threshold: float = 0.05,
-    fail_threshold: float = 0.10,
     jobs: int = 1,
 ) -> CalibrationVerdict:
     """Pick the equation variant that reproduces white-noise Monte Carlo.
 
     Solves all eight variants once for the flat spectral density, runs one
     white-noise ensemble per base seed, and requires that exactly one variant
-    reaches pooled KS <= pass_threshold while every other stays >=
-    fail_threshold, identically across seeds.  A confirmation ensemble with a
-    dependent process (first-order moving average by default) must also pass.
+    reaches pooled KS <= pass_threshold while every other stays >= 0.10,
+    identically across seeds.  A confirmation ensemble with a dependent
+    process, the first-order moving average MA(0.5), must also pass.
     Raises CalibrationError when the adjudication is ambiguous.
     """
     y = p / n
@@ -370,19 +364,15 @@ def calibrate_equation_variant(
         report = run_ensemble(replace(base_config, base_seed=seed), candidates)
         passing = [v for v in variants if report.pooled_ks[v.label] <= pass_threshold]
         others_fail = all(
-            report.pooled_ks[v.label] >= fail_threshold
+            report.pooled_ks[v.label] >= _FAIL_THRESHOLD
             for v in variants
             if v not in passing
         )
-        for v in variants:
-            evidence.append(
-                {
-                    "seed": int(seed),
-                    "variant": v.label,
-                    "ks_pooled": report.pooled_ks[v.label],
-                    "passed": v in passing,
-                }
-            )
+        evidence.extend(
+            {"seed": int(seed), "variant": v.label, "ks_pooled": report.pooled_ks[v.label],
+             "passed": v in passing}
+            for v in variants
+        )
         if len(passing) != 1 or not others_fail:
             raise CalibrationError(
                 f"ambiguous calibration at seed {seed}: "
@@ -397,19 +387,8 @@ def calibrate_equation_variant(
         )
     selected = EquationVariant.parse(selections[0])
 
-    confirm = confirm_model if confirm_model is not None else CoefficientModel.ma([0.5])
-    confirm_config = EnsembleConfig(
-        model=confirm,
-        p=p,
-        n=n,
-        replicates=replicates,
-        base_seed=base_seeds[0],
-        distribution=distribution,
-        variants=(selected,),
-        solver=solver,
-        jobs=jobs,
-    )
-    confirm_report = run_ensemble(confirm_config)
+    confirm = CoefficientModel.ma([0.5])
+    confirm_report = run_ensemble(replace(base_config, model=confirm, variants=(selected,)))
     confirm_ks = confirm_report.pooled_ks[selected.label]
     confirmation = {
         "model": confirm.label(),
@@ -427,7 +406,6 @@ def calibrate_equation_variant(
         evidence=tuple(evidence),
         confirmation=confirmation,
         pass_threshold=pass_threshold,
-        fail_threshold=fail_threshold,
     )
 
 

@@ -67,6 +67,37 @@ class TestParseConfig:
             parse_config("/nonexistent/config.json", {})
 
 
+WHITE = {"kind": "white_noise"}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "tail_tol": "abc"}, "'tail_tol'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "tail_tol": "abc"}, "'tail_tol'"),
+        ({"command": "solve", "model": {"kind": "ma", "theta": 5}, "y": 1.0}, "'theta'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "solver": {"damping": "x"}}, "'damping'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "solver": {"quadrature_points": "8"}},
+         "'quadrature_points'"),
+        ({"command": "calibrate", "p": 64, "n": 128, "seeds": 5}, "'seeds'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "variant": 5}, "'variant'"),
+        ({"command": "solve", "model": WHITE, "y": [1]}, "'y'"),
+        ({"command": "solve", "model": {"kind": "ar1"}, "y": 1.0}, "'phi'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "innovations": {"seed": [1]}}, "'seed'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "seed": None}, "'seed'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "out": 5}, "'out'"),
+    ],
+)
+def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
+    argv = [doc["command"], "--config", write_config(tmp_path, doc)]
+    if "out" not in doc:
+        argv += ["--out", str(tmp_path / "run")]
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run(argv) == 2
+    assert any(key in rec.getMessage() for rec in caplog.records)
+    assert not (tmp_path / "run").exists()
+
+
 class TestSolveCommand:
     def test_density_at_two(self, tmp_path):
         out = tmp_path / "run"
@@ -275,4 +306,41 @@ def test_benchmark_wrap_targets_resolve():
         (module, attr) for module, attr, _ in targets
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
+    assert missing == []
+
+
+def test_public_surface_resolves():
+    # every advertised name must exist: the __all__ of each module, the
+    # package re-exports, and the names README's quickstart imports (parsed,
+    # not executed: running the snippet takes seconds)
+    import ast
+    import importlib
+    import pkgutil
+    from pathlib import Path
+
+    import lpspec
+
+    missing = []
+    for info in pkgutil.iter_modules(lpspec.__path__):
+        module = importlib.import_module(f"lpspec.{info.name}")
+        missing += [(module.__name__, name) for name in module.__all__ if not hasattr(module, name)]
+
+    def imported(source, package=None):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                module = importlib.import_module(("." * node.level) + (node.module or ""), package)
+                yield from ((module, alias.name) for alias in node.names)
+
+    init_source = Path(lpspec.__file__).read_text()
+    reexports = list(imported(init_source, "lpspec"))
+    assert reexports
+    missing += [("lpspec", name) for _, name in reexports if not hasattr(lpspec, name)]
+    missing += [(m.__name__, name) for m, name in reexports if name not in m.__all__]
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    snippet = section.split("```python", 1)[1].split("```", 1)[0]
+    quickstart = [(m, name) for m, name in imported(snippet) if m.__name__.startswith("lpspec")]
+    assert quickstart
+    missing += [(m.__name__, name) for m, name in quickstart if not hasattr(m, name)]
     assert missing == []

@@ -14,7 +14,6 @@ from lpspec.matrices import (
     shift_representation_check,
     subdiagonal_shift,
     truncated_segment_matrix,
-    write_matrix_csv,
 )
 from lpspec.process import (
     CoefficientModel,
@@ -291,10 +290,3 @@ class TestShiftRepresentation:
 def test_subdiagonal_shift_shape():
     k = subdiagonal_shift(3)
     np.testing.assert_array_equal(k, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-
-
-def test_write_matrix_csv(tmp_path):
-    path = tmp_path / "m.csv"
-    write_matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]), path)
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    assert [[float(v) for v in row] for row in rows] == [[1.0, 2.0], [3.0, 4.0]]

@@ -7,13 +7,9 @@ from lpspec.spectra import (
     EmpiricalCdf,
     EmpiricalSpectrum,
     empirical_stieltjes,
-    esd_cdf,
-    histogram,
     ks_distance,
     sym_eigenvalues,
     wasserstein1,
-    write_histogram_csv,
-    write_spectrum_csv,
 )
 
 
@@ -55,23 +51,27 @@ class TestSymEigenvalues:
 
 
 class TestEsdCdf:
+    """The empirical spectral CDF, #(eigenvalues <= x) / p, via EmpiricalCdf."""
+
+    @staticmethod
+    def esd(eigenvalues):
+        return EmpiricalSpectrum(np.array(eigenvalues)).cdf()
+
     def test_midpoint(self):
-        spec = EmpiricalSpectrum(np.array([1.0, 3.0]))
-        assert esd_cdf(spec, 2.0) == 0.5
+        assert self.esd([1.0, 3.0]).cdf(2.0) == 0.5
 
     def test_extremes(self):
-        spec = EmpiricalSpectrum(np.array([1.0, 3.0]))
-        assert esd_cdf(spec, 0.0) == 0.0
-        assert esd_cdf(spec, 5.0) == 1.0
+        esd = self.esd([1.0, 3.0])
+        assert esd.cdf(0.0) == 0.0
+        assert esd.cdf(5.0) == 1.0
 
     def test_repeated_atoms(self):
-        spec = EmpiricalSpectrum(np.array([1.0, 1.0, 1.0]))
-        assert esd_cdf(spec, 1.0) == 1.0
+        assert self.esd([1.0, 1.0, 1.0]).cdf(1.0) == 1.0
 
     def test_right_continuity(self):
-        spec = EmpiricalSpectrum(np.array([0.0, 1.0]))
-        assert esd_cdf(spec, 1.0) == 1.0
-        assert esd_cdf(spec, 1.0 - 1e-12) == 0.5
+        esd = self.esd([0.0, 1.0])
+        assert esd.cdf(1.0) == 1.0
+        assert esd.cdf(1.0 - 1e-12) == 0.5
 
 
 class TestEmpiricalStieltjes:
@@ -171,30 +171,6 @@ class TestWasserstein:
         a = rng.uniform(0, 1, 16)
         got = wasserstein1(EmpiricalCdf(a), EmpiricalCdf(a + 0.25))
         assert abs(got - 0.25) <= 1e-12
-
-
-class TestExportsAndHistogram:
-    def test_histogram_mass(self):
-        spec = EmpiricalSpectrum(np.sort(np.random.default_rng(7).uniform(0, 1, 100)))
-        rows = histogram(spec, bins=10)
-        assert rows.shape == (10, 3)
-        assert abs(rows[:, 2].sum() - 1.0) <= 1e-12
-
-    def test_spectrum_csv(self, tmp_path):
-        spec = EmpiricalSpectrum(np.array([1.0, 2.0]))
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(spec, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "lambda"
-        assert [float(v) for v in lines[1:]] == [1.0, 2.0]
-
-    def test_histogram_csv(self, tmp_path):
-        spec = EmpiricalSpectrum(np.array([0.0, 0.5, 1.0]))
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(spec, path, bins=2)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bin_left,bin_right,mass"
-        assert len(lines) == 3
 
 
 def test_spectrum_validation():
