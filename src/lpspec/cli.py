@@ -58,9 +58,9 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _DEFAULTS = {
     "seed": 0,
     "replicates": 1,
-    "jobs": 1,
+    "jobs": EnsembleConfig.jobs,
     "variant": DEFAULT_VARIANT.label,
-    "grid_points": 1024,
+    "grid_points": EnsembleConfig.grid_points,
     "out": "out",
     "dump_eigenvalues": False,
 }
@@ -157,6 +157,8 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             cfg[key] = _converted(cfg, key, int, "an integer")
             if key != "horizon" and cfg[key] < 0:
                 raise ConfigError(f"key {key!r} must be non-negative")
+    if cfg["grid_points"] < 1:
+        raise ConfigError("key 'grid_points' must be at least 1")
     if cfg.get("y") is not None:
         cfg["y"] = _converted(cfg, "y", float, "a number")
         if cfg["y"] <= 0:
@@ -172,16 +174,21 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
     return cfg
 
 
-def _solver(cfg: dict) -> SolverConfig:
-    return SolverConfig(**cfg.get("solver", {}))
-
-
 def _variant(cfg: dict) -> EquationVariant:
     return EquationVariant.parse(cfg["variant"])
 
 
 def _model(cfg: dict) -> CoefficientModel:
     return CoefficientModel.from_json(_require(cfg, "model"))
+
+
+def _settings(cfg: dict) -> dict:
+    """The `EnsembleConfig` settings the config supplies; the rest keep its defaults."""
+    settings = {key: cfg[key] for key in ("horizon", "tail_tol", "jobs", "grid_points") if key in cfg}
+    settings["solver"] = SolverConfig(**cfg["solver"])
+    if "innovations" in cfg:
+        settings["distribution"] = cfg["innovations"]["dist"]
+    return settings
 
 
 def _ensemble_config(cfg: dict, variants: tuple[EquationVariant, ...]) -> EnsembleConfig:
@@ -191,12 +198,8 @@ def _ensemble_config(cfg: dict, variants: tuple[EquationVariant, ...]) -> Ensemb
         n=_require(cfg, "n"),
         replicates=cfg["replicates"],
         base_seed=cfg["seed"],
-        distribution=cfg.get("innovations", {}).get("dist", "gaussian"),
         variants=variants,
-        solver=_solver(cfg),
-        horizon=cfg.get("horizon"),
-        tail_tol=cfg.get("tail_tol", 1e-12),
-        jobs=cfg["jobs"],
+        **_settings(cfg),
     )
 
 
@@ -232,18 +235,19 @@ def _cmd_simulate(cfg: dict) -> dict[str, str]:
 def _cmd_solve(cfg: dict) -> dict[str, str]:
     model = _model(cfg)
     y = _require(cfg, "y")
-    horizon = cfg.get("horizon")
-    n_hint = cfg.get("n") or 256
+    settings = _settings(cfg)
+    tail = {"tail_tol": settings["tail_tol"]} if "tail_tol" in settings else {}
+    horizon = settings.get("horizon")
     if horizon is None:
-        horizon = default_horizon(model, n_hint, cfg.get("tail_tol", 1e-12))
-    spec = ProcessSpec(model, InnovationSpec(seed=cfg["seed"]), horizon, cfg.get("tail_tol", 1e-12))
+        horizon = default_horizon(model, cfg.get("n") or 256, **tail)
+    spec = ProcessSpec(model, InnovationSpec(seed=cfg["seed"]), horizon, **tail)
     f = spectral_density(spec)
     solution = solve_lsd(
         f,
         y,
         variant=_variant(cfg),
-        config=_solver(cfg),
-        grid_points=cfg["grid_points"],
+        config=settings["solver"],
+        grid_points=settings["grid_points"],
     )
     density_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.density)))
     cdf_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.cdf_values)))
@@ -276,9 +280,7 @@ def _cmd_calibrate(cfg: dict) -> dict[str, str]:
         n=_require(cfg, "n"),
         replicates=cfg["replicates"],
         base_seeds=tuple(int(s) for s in seeds),
-        distribution=cfg.get("innovations", {}).get("dist", "gaussian"),
-        solver=_solver(cfg),
-        jobs=cfg["jobs"],
+        **_settings(cfg),
     )
     rows = [
         (e["seed"], e["variant"], e["ks_pooled"], e["passed"])
@@ -297,10 +299,8 @@ def _cmd_study(cfg: dict) -> dict[str, str]:
         sizes=_require(cfg, "sizes"),
         replicates=cfg["replicates"],
         base_seed=cfg["seed"],
-        distribution=cfg.get("innovations", {}).get("dist", "gaussian"),
         variant=_variant(cfg),
-        solver=_solver(cfg),
-        jobs=cfg["jobs"],
+        **_settings(cfg),
     )
     rows = [(r["n"], r["p"], r["ks_median"], r["ks_iqr"]) for r in result.rows]
     return {

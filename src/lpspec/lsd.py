@@ -81,7 +81,7 @@ class EquationVariant:
     """One reading of the fixed-point equation; see the module docstring."""
 
     normalization: str = "normalized"  # normalized | raw
-    ratio: str = "y"                   # y | yinv
+    ratio: str = "yinv"                # y | yinv
     role: str = "direct"               # direct | companion
 
     def __post_init__(self) -> None:
@@ -101,7 +101,7 @@ class EquationVariant:
         parts = label.split("-")
         if len(parts) != 3:
             raise ValueError(
-                f"variant {label!r} must look like 'normalized-y-direct' "
+                f"variant {label!r} must look like 'normalized-yinv-direct' "
                 "({normalized|raw}-{y|yinv}-{direct|companion})"
             )
         return cls(*parts)
@@ -115,6 +115,7 @@ class EquationVariant:
         return r * _TWO_PI if self.normalization == "raw" else r
 
 
+# the variant calibration selects against white-noise Monte Carlo
 DEFAULT_VARIANT = EquationVariant()
 
 

@@ -94,7 +94,7 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Everything a reproducible ensemble run depends on."""
+    """Everything a reproducible ensemble run depends on; its settings' defaults live here only."""
 
     model: CoefficientModel
     p: int
@@ -107,6 +107,7 @@ class EnsembleConfig:
     horizon: int | None = None
     tail_tol: float = 1e-12
     jobs: int = 1
+    grid_points: int = 1024  # of each solved law; like `solver`, not in `to_json`
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
@@ -192,7 +193,8 @@ def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     f = spectral_density(config.replicate_spec(0))
     y = config.y if y is None else y
     return {
-        v.label: lsd_cdf(solve_lsd(f, y, variant=v, config=config.solver))
+        v.label: lsd_cdf(solve_lsd(f, y, variant=v, config=config.solver,
+                                   grid_points=config.grid_points))
         for v in config.variants
     }
 
@@ -323,10 +325,8 @@ def calibrate_equation_variant(
     n: int,
     replicates: int = 10,
     base_seeds: tuple[int, ...] = (1, 2, 3),
-    distribution: str = "gaussian",
-    solver: SolverConfig = DEFAULT_CONFIG,
     pass_threshold: float = 0.05,
-    jobs: int = 1,
+    **settings,
 ) -> CalibrationVerdict:
     """Pick the equation variant that reproduces white-noise Monte Carlo.
 
@@ -335,7 +335,8 @@ def calibrate_equation_variant(
     reaches pooled KS <= pass_threshold while every other stays >= 0.10,
     identically across seeds.  A confirmation ensemble with a dependent
     process, the first-order moving average MA(0.5), must also pass.
-    Raises CalibrationError when the adjudication is ambiguous.
+    Raises CalibrationError when the adjudication is ambiguous.  `settings`
+    are passed on to every `EnsembleConfig`.
     """
     y = p / n
     if abs(y - 1.0) < 0.05:
@@ -351,10 +352,8 @@ def calibrate_equation_variant(
         n=n,
         replicates=replicates,
         base_seed=base_seeds[0],
-        distribution=distribution,
         variants=variants,
-        solver=solver,
-        jobs=jobs,
+        **settings,
     )
     candidates = _candidate_cdfs(base_config)
 
@@ -426,17 +425,16 @@ def convergence_study(
     sizes,
     replicates: int = 5,
     base_seed: int = 0,
-    distribution: str = "gaussian",
     variant: EquationVariant = DEFAULT_VARIANT,
-    solver: SolverConfig = DEFAULT_CONFIG,
-    jobs: int = 1,
+    **settings,
 ) -> StudyResult:
     """Median KS distance to the solved law for each matrix size.
 
     The law depends only on (f, y), so it is solved once at the nominal y
     and reused across sizes, whose p/n only approximates y.  Returns per-size
     medians and interquartile ranges plus the Spearman rank correlation of
-    median KS against n (negative under convergence).
+    median KS against n (negative under convergence).  `settings` are passed
+    on to every `EnsembleConfig`.
     """
     sizes = [int(s) for s in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -448,10 +446,8 @@ def convergence_study(
             n=n,
             replicates=replicates,
             base_seed=base_seed,
-            distribution=distribution,
             variants=(variant,),
-            solver=solver,
-            jobs=jobs,
+            **settings,
         )
         for n in sizes
     ]

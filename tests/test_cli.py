@@ -24,7 +24,7 @@ class TestParseConfig:
     def test_minimal_solve_gets_defaults(self, tmp_path):
         path = write_config(tmp_path, {"command": "solve", "model": {"kind": "white_noise"}, "y": 1.0})
         cfg = parse_config(path, {})
-        assert cfg["variant"] == "normalized-y-direct"
+        assert cfg["variant"] == "normalized-yinv-direct"
         assert cfg["grid_points"] == 1024
         assert cfg["seed"] == 0
         assert cfg["jobs"] == 1
@@ -86,6 +86,7 @@ WHITE = {"kind": "white_noise"}
         ({"command": "solve", "model": WHITE, "y": 1.0, "innovations": {"seed": [1]}}, "'seed'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "seed": None}, "'seed'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "out": 5}, "'out'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 0}, "'grid_points'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -115,7 +116,7 @@ class TestSolveCommand:
         assert manifest["command"] == "solve"
         assert "timestamp" in manifest
         solution = json.loads((out / "lsd.json").read_text())
-        assert solution["variant"] == "normalized-y-direct"
+        assert solution["variant"] == "normalized-yinv-direct"
         assert abs(solution["atom"]) <= 1e-3
 
     def test_missing_y_fails_validation(self, tmp_path):
@@ -189,7 +190,7 @@ class TestCompareCommand:
         ])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["pooled_ks"]["normalized-y-direct"] <= 0.1
+        assert report["pooled_ks"]["normalized-yinv-direct"] <= 0.1
         assert report["trace_check"]["passed"]
         assert len(report["replicate_seeds"]) == 2
         assert not (out / "eigenvalues.csv").exists()
@@ -261,6 +262,62 @@ class TestStudyCommand:
         rows = (out / "trend.csv").read_text().strip().splitlines()
         assert rows[0] == "n,p,ks_median,ks_iqr"
         assert len(rows) == 3
+
+
+# a non-default value for every ensemble setting the config carries
+SETTINGS = {"horizon": 40, "tail_tol": 1e-8, "grid_points": 256,
+            "innovations": {"dist": "uniform"}, "solver": {"quadrature_points": 64}}
+MA05 = {"kind": "ma", "theta": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "simulate", "model": MA05, "p": 16, "n": 16, "replicates": 2},
+        {"command": "compare", "model": MA05, "p": 16, "n": 16, "replicates": 2},
+        {"command": "calibrate", "p": 64, "n": 128, "replicates": 4, "seed": 11},
+        {"command": "study", "model": MA05, "y": 0.5, "sizes": [16, 32], "replicates": 2},
+    ],
+    ids=lambda doc: doc["command"],
+)
+def test_settings_reach_every_ensemble(tmp_path, monkeypatch, doc):
+    from lpspec import cli, verify
+    from lpspec.lsd import SolverConfig
+
+    configs, solves = [], []
+    ensemble, solve = verify.run_ensemble, verify.solve_lsd
+
+    def recording_ensemble(config, *args, **kwargs):
+        configs.append(config)
+        return ensemble(config, *args, **kwargs)
+
+    def recording_solve(f, y, **kwargs):
+        solves.append(kwargs)
+        return solve(f, y, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", recording_ensemble)
+    monkeypatch.setattr(verify, "run_ensemble", recording_ensemble)
+    monkeypatch.setattr(verify, "solve_lsd", recording_solve)
+    argv = [doc["command"], "--config", write_config(tmp_path, {**doc, **SETTINGS}),
+            "--out", str(tmp_path / "run")]
+    assert run(argv) == 0
+    solver = SolverConfig(quadrature_points=64)
+    assert configs
+    for config in configs:
+        assert (config.horizon, config.tail_tol, config.grid_points, config.distribution,
+                config.solver) == (40, 1e-8, 256, "uniform", solver)
+    assert bool(solves) == (doc["command"] != "simulate")
+    assert all((kw["grid_points"], kw["config"]) == (256, solver) for kw in solves)
+
+
+def test_study_honours_tail_tol(tmp_path):
+    # the default tail_tol 1e-12 needs a horizon beyond 2**22 for FARIMA(-0.2)
+    doc = {"command": "study", "model": {"kind": "farima", "d": -0.2}, "y": 1.0,
+           "sizes": [16, 32], "replicates": 2, "tail_tol": 1e-6,
+           "solver": {"quadrature_points": 64}, "grid_points": 128}
+    out = tmp_path / "run"
+    assert run(["study", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert len((out / "trend.csv").read_text().strip().splitlines()) == 3
 
 
 class TestCalibrateCommand:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpspec.lsd import (
     DEFAULT_VARIANT,
@@ -19,6 +21,7 @@ from lpspec.lsd import (
     solve_stieltjes,
 )
 from lpspec.process import SpectralDensity
+from lpspec.spectra import ks_distance
 
 FLAT = SpectralDensity([1.0])
 MA1 = SpectralDensity([1.0, 0.5])
@@ -107,10 +110,11 @@ class TestSolveStieltjes:
         # c z s^2 + (z + c(1 - y)) s + 1 = 0
         rng = np.random.default_rng(12)
         level = SpectralDensity([math.sqrt(2.0)])  # f == 2
+        variant = EquationVariant("normalized", "y", "direct")  # the r = y equation
         for _ in range(20):
             z = complex(rng.uniform(-2.0, 6.0), 10 ** rng.uniform(-2, 1))
             for f, c, y in ((FLAT, 1.0, 1.0), (level, 2.0, 0.5)):
-                s = solve_stieltjes(f, y, z)
+                s = solve_stieltjes(f, y, z, variant=variant)
                 resid = c * z * s * s + (z + c * (1.0 - y)) * s + 1.0
                 assert abs(resid) <= 1e-9
                 assert s.imag > 0
@@ -299,6 +303,16 @@ class TestSolveLsd:
         lo, hi = sol.support
         assert abs(lo - mp.a) <= 0.05
         assert abs(hi - mp.b) <= 0.05
+
+    @given(st.floats(0.1, 10.0))
+    @settings(max_examples=25, deadline=None)
+    def test_default_white_noise_law_is_marchenko_pastur(self, y):
+        # two quadrature points integrate a flat density exactly
+        sol = solve_lsd(FLAT, y, config=SolverConfig(quadrature_points=2), grid_points=256)
+        assert ks_distance(lsd_cdf(sol), marchenko_pastur(y, 1.0 / y)) <= 1e-2
+        assert abs(sol.atom_at_zero - max(0.0, 1.0 - 1.0 / y)) <= 1e-2
+        assert abs(sol.mass() - 1.0) <= 1e-2
+        assert np.all(np.diff(sol.cdf_values) >= 0.0)
 
     def test_default_grid_properties(self):
         grid = default_grid(FLAT, 1.0, points=128)

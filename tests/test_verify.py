@@ -87,7 +87,7 @@ class TestRunEnsemble:
             model=model, p=256, n=256, replicates=3, base_seed=9, tail_tol=1e-6
         )
         rep = run_ensemble(cfg)
-        assert rep.pooled_ks["normalized-y-direct"] <= 0.05
+        assert rep.pooled_ks["normalized-yinv-direct"] <= 0.05
 
     def test_rank_deficient_spectra_carry_exact_zero_atom(self):
         # p > n: half the eigenvalues are exact zeros, matching the scaled law
