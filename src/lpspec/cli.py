@@ -2,7 +2,8 @@
 
 Subcommands: simulate | solve | compare | calibrate | study.  Experiments are
 described by a JSON config file and/or flags (flags win, with a logged
-notice).  Every run writes a manifest.json echoing the resolved config plus
+notice).  Each command accepts only the keys it reads (`_KEYS`), so the
+manifest.json every run writes echoes only settings that took effect, plus
 tool versions; the manifest's "timestamp" field is the only output that may
 differ between identical runs.
 
@@ -47,14 +48,29 @@ __all__ = ["main", "run", "parse_config"]
 
 log = logging.getLogger("lpspec.cli")
 
-_COMMANDS = ("simulate", "solve", "compare", "calibrate", "study")
+# keys every command accepts
+_GLOBAL_KEYS = ("command", "seed", "jobs", "out")
 
-# solver key -> value type
-_SOLVER_KEYS = {"quadrature_points": int, "max_iterations": int,
-                "damping": float, "residual_tol": float, "epsilon_floor": float}
+# command -> (required keys, optional keys) that it reads besides the global
+# ones; every other key is rejected
+_KEYS = {
+    "simulate": (("model", "p", "n"), ("replicates", "innovations", "horizon", "tail_tol")),
+    "solve": (("model", "y"), ("n", "variant", "solver", "grid_points", "horizon", "tail_tol")),
+    "compare": (("model", "p", "n"), ("replicates", "innovations", "horizon", "tail_tol", "variant",
+                                      "solver", "grid_points", "dump_eigenvalues")),
+    "calibrate": (("p", "n"), ("replicates", "seeds", "innovations", "horizon", "tail_tol",
+                               "solver", "grid_points")),
+    "study": (("model", "y", "sizes"), ("replicates", "innovations", "horizon", "tail_tol",
+                                        "variant", "solver", "grid_points")),
+}
+_COMMANDS = tuple(_KEYS)
+
+# nested object -> its keys -> value type
+_OBJECT_KEYS = {"solver": {"quadrature_points": int}, "innovations": {"dist": str}}
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
+# filled in for the commands that read the key
 _DEFAULTS = {
     "seed": 0,
     "replicates": 1,
@@ -65,8 +81,8 @@ _DEFAULTS = {
     "dump_eigenvalues": False,
 }
 
-_TOP_KEYS = set(_DEFAULTS) | {"command", "model", "innovations", "p", "n", "y", "sizes",
-                              "seeds", "solver", "horizon", "tail_tol"}
+# smallest accepted value of an integer key
+_MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 1, "jobs": 0, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -90,17 +106,12 @@ def _int_list(values) -> list[int]:
     return [int(v) for v in values]
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"missing required key {key!r} for command {cfg.get('command')!r}")
-    return cfg[key]
-
-
 def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
     """Merge a JSON config file with flag overrides into a validated config.
 
-    Unknown keys are rejected by name; flag values override file values with
-    a logged notice.  Returns the resolved config with defaults filled in.
+    Keys the command does not read are rejected by name, missing required
+    keys last; flag values override file values with a logged notice.
+    Returns the resolved config with the defaults of the keys it reads.
     """
     cfg: dict = {}
     if path is not None:
@@ -113,9 +124,6 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
     for key, value in (flags or {}).items():
         if value is None:
             continue
@@ -124,41 +132,51 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
         cfg[key] = value
 
     command = cfg.get("command")
-    if command not in _COMMANDS:
+    if command not in _KEYS:
         raise ConfigError(f"command must be one of {_COMMANDS}, got {command!r}")
+    required, optional = _KEYS[command]
+    reads = {*_GLOBAL_KEYS, *required, *optional}
+    unread = set(cfg) - reads
+    if unread:
+        raise ConfigError(f"unknown key {sorted(unread)[0]!r} for command {command!r}")
     for key, default in _DEFAULTS.items():
-        cfg.setdefault(key, default)
+        if key in reads:
+            cfg.setdefault(key, default)
+    if "solver" in reads:
+        cfg.setdefault("solver", {})
 
-    solver_cfg = cfg.get("solver", {})
-    if not isinstance(solver_cfg, dict):
-        raise ConfigError("solver must be a JSON object")
-    unknown = set(solver_cfg) - set(_SOLVER_KEYS)
-    if unknown:
-        raise ConfigError(f"solver: unknown key {sorted(unknown)[0]!r}")
-    for key, value in solver_cfg.items():
-        _check_type(value, _SOLVER_KEYS[key], f"solver: key {key!r}")
-    cfg["solver"] = solver_cfg
-
+    for name, types in _OBJECT_KEYS.items():
+        if name not in cfg:
+            continue
+        if not isinstance(cfg[name], dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        unknown = set(cfg[name]) - set(types)
+        if unknown:
+            raise ConfigError(f"{name}: unknown key {sorted(unknown)[0]!r}")
+        for key, value in cfg[name].items():
+            _check_type(value, types[key], f"{name}: key {key!r}")
     if "model" in cfg:
         cfg["model"] = CoefficientModel.from_json(cfg["model"]).to_json()
-    if "innovations" in cfg:
-        cfg["innovations"] = InnovationSpec.from_json(cfg["innovations"]).to_json()
+    if "innovations" in cfg:  # no stream seed: every stream derives from `seed`
+        dist = cfg["innovations"].get("dist", "gaussian")
+        InnovationSpec(dist)  # rejects an unknown law
+        cfg["innovations"] = {"dist": dist}
 
     for key in ("variant", "out"):
-        _check_type(cfg[key], str, f"key {key!r}")
-    try:
-        EquationVariant.parse(cfg["variant"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        if key in cfg:
+            _check_type(cfg[key], str, f"key {key!r}")
+    if "variant" in cfg:
+        try:
+            EquationVariant.parse(cfg["variant"])
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     # null means "not given" only for keys without a default
     for key in ("p", "n", "replicates", "jobs", "grid_points", "seed", "horizon"):
         if key in cfg and (cfg[key] is not None or key in _DEFAULTS):
             cfg[key] = _converted(cfg, key, int, "an integer")
-            if key != "horizon" and cfg[key] < 0:
-                raise ConfigError(f"key {key!r} must be non-negative")
-    if cfg["grid_points"] < 1:
-        raise ConfigError("key 'grid_points' must be at least 1")
+            if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
+                raise ConfigError(f"key {key!r} must be at least {_MINIMUM[key]}")
     if cfg.get("y") is not None:
         cfg["y"] = _converted(cfg, "y", float, "a number")
         if cfg["y"] <= 0:
@@ -171,6 +189,9 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
         # checked, not stored: the manifest echoes the seeds as given
         if not _converted(cfg, "seeds", _int_list, "a non-empty list of integers"):
             raise ConfigError("key 'seeds' must be a non-empty list of integers")
+    missing = [key for key in required if cfg.get(key) is None]
+    if missing:
+        raise ConfigError(f"missing required key {missing[0]!r} for command {command!r}")
     return cfg
 
 
@@ -179,13 +200,14 @@ def _variant(cfg: dict) -> EquationVariant:
 
 
 def _model(cfg: dict) -> CoefficientModel:
-    return CoefficientModel.from_json(_require(cfg, "model"))
+    return CoefficientModel.from_json(cfg["model"])
 
 
 def _settings(cfg: dict) -> dict:
     """The `EnsembleConfig` settings the config supplies; the rest keep its defaults."""
     settings = {key: cfg[key] for key in ("horizon", "tail_tol", "jobs", "grid_points") if key in cfg}
-    settings["solver"] = SolverConfig(**cfg["solver"])
+    if "solver" in cfg:
+        settings["solver"] = SolverConfig(**cfg["solver"])
     if "innovations" in cfg:
         settings["distribution"] = cfg["innovations"]["dist"]
     return settings
@@ -194,8 +216,8 @@ def _settings(cfg: dict) -> dict:
 def _ensemble_config(cfg: dict, variants: tuple[EquationVariant, ...]) -> EnsembleConfig:
     return EnsembleConfig(
         model=_model(cfg),
-        p=_require(cfg, "p"),
-        n=_require(cfg, "n"),
+        p=cfg["p"],
+        n=cfg["n"],
         replicates=cfg["replicates"],
         base_seed=cfg["seed"],
         variants=variants,
@@ -234,20 +256,17 @@ def _cmd_simulate(cfg: dict) -> dict[str, str]:
 
 def _cmd_solve(cfg: dict) -> dict[str, str]:
     model = _model(cfg)
-    y = _require(cfg, "y")
-    settings = _settings(cfg)
-    tail = {"tail_tol": settings["tail_tol"]} if "tail_tol" in settings else {}
-    horizon = settings.get("horizon")
+    tail = {"tail_tol": cfg["tail_tol"]} if "tail_tol" in cfg else {}
+    horizon = cfg.get("horizon")
     if horizon is None:
         horizon = default_horizon(model, cfg.get("n") or 256, **tail)
-    spec = ProcessSpec(model, InnovationSpec(seed=cfg["seed"]), horizon, **tail)
-    f = spectral_density(spec)
+    f = spectral_density(ProcessSpec(model, InnovationSpec(), horizon, **tail))
     solution = solve_lsd(
         f,
-        y,
+        cfg["y"],
         variant=_variant(cfg),
-        config=settings["solver"],
-        grid_points=settings["grid_points"],
+        config=SolverConfig(**cfg["solver"]),
+        grid_points=cfg["grid_points"],
     )
     density_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.density)))
     cdf_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.cdf_values)))
@@ -265,7 +284,7 @@ def _cmd_compare(cfg: dict) -> dict[str, str]:
     doc = report.to_json()
     doc["trace_check"] = trace.to_json()
     out = {"report.json": _json_text(doc)}
-    if cfg.get("dump_eigenvalues"):
+    if cfg["dump_eigenvalues"]:
         out["eigenvalues.csv"] = _eigenvalues_csv(report)
     return out
 
@@ -276,8 +295,8 @@ def _cmd_calibrate(cfg: dict) -> dict[str, str]:
         base = cfg["seed"]
         seeds = (base, base + 1, base + 2)
     verdict = calibrate_equation_variant(
-        p=_require(cfg, "p"),
-        n=_require(cfg, "n"),
+        p=cfg["p"],
+        n=cfg["n"],
         replicates=cfg["replicates"],
         base_seeds=tuple(int(s) for s in seeds),
         **_settings(cfg),
@@ -295,8 +314,8 @@ def _cmd_calibrate(cfg: dict) -> dict[str, str]:
 def _cmd_study(cfg: dict) -> dict[str, str]:
     result = convergence_study(
         model=_model(cfg),
-        y=_require(cfg, "y"),
-        sizes=_require(cfg, "sizes"),
+        y=cfg["y"],
+        sizes=cfg["sizes"],
         replicates=cfg["replicates"],
         base_seed=cfg["seed"],
         variant=_variant(cfg),

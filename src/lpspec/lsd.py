@@ -61,6 +61,14 @@ _TWO_PI = 2.0 * math.pi
 _DENSITY_FLOOR = 1e-6
 # knots of the Marchenko-Pastur CDF table
 _MP_TABLE_POINTS = 4096
+# fixed-point iteration: damping of the plain step, iteration cap per attempt,
+# and the residual that counts as converged
+_DAMPING = 0.5
+_MAX_ITERATIONS = 500
+_RESIDUAL_TOL = 1e-10
+# height above the real axis of the density evaluation (Richardson from
+# eps and 2*eps)
+_EPSILON = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -131,20 +139,10 @@ def all_variants() -> tuple[EquationVariant, ...]:
 @dataclass(frozen=True)
 class SolverConfig:
     quadrature_points: int = 2048
-    max_iterations: int = 500
-    damping: float = 0.5
-    residual_tol: float = 1e-10
-    epsilon_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.quadrature_points < 2:
             raise ValueError("quadrature_points must be >= 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.residual_tol <= 0 or self.epsilon_floor <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -192,23 +190,22 @@ def _fixed_point(
     f_vals: np.ndarray,
     scale: float,
     z: complex,
-    config: SolverConfig,
     s0: complex | None = None,
 ) -> tuple[complex, float, int]:
     """Solve 1/s = -z + scale * mean(f/(1+fs)) for the upper-half-plane root."""
     start = complex(s0) if s0 is not None and complex(s0).imag > 0 else -1.0 / z
-    alpha = config.damping
+    alpha = _DAMPING
     s = start
     abs_res = math.inf
     iterations = 0
     warmup = 3  # pure damped steps before Newton corrections kick in
     while alpha >= 1e-6:
         left_half_plane = False
-        for _ in range(config.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             iterations += 1
             residual, target, deriv = _residual_parts(f_vals, s, z, scale)
             abs_res = abs(residual)
-            if abs_res <= config.residual_tol:
+            if abs_res <= _RESIDUAL_TOL:
                 return s, abs_res, iterations
             nxt = None
             if iterations > warmup and abs(deriv) > 0.0 and np.isfinite(abs(deriv)):
@@ -246,7 +243,6 @@ def _solve_point(
     f_vals: np.ndarray,
     scale: float,
     z: complex,
-    config: SolverConfig,
     s0: complex | None = None,
 ) -> tuple[complex, float, int]:
     """Solve at one z, falling back to continuation in Im z on failure.
@@ -256,7 +252,7 @@ def _solve_point(
     direct (possibly warm-started) solve does not converge.
     """
     try:
-        return _fixed_point(f_vals, scale, z, config, s0)
+        return _fixed_point(f_vals, scale, z, s0)
     except ConvergenceError:
         pass
     height = max(1.0, abs(z.real)) * 0.5
@@ -264,7 +260,7 @@ def _solve_point(
     total = 0
     while True:
         rung = complex(z.real, max(z.imag, height))
-        s, res, its = _fixed_point(f_vals, scale, rung, config, warm)
+        s, res, its = _fixed_point(f_vals, scale, rung, warm)
         total += its
         warm = s
         if height <= z.imag:
@@ -292,7 +288,7 @@ def solve_stieltjes(
     if y <= 0:
         raise ValueError("aspect ratio y must be positive")
     f_vals = _density_values(f, config)
-    s, _, _ = _solve_point(f_vals, variant.scale(y), z, config, s0)
+    s, _, _ = _solve_point(f_vals, variant.scale(y), z, s0)
     return s
 
 
@@ -307,7 +303,7 @@ def _density_profile(f, y, xs, variant, config):
     """Density samples on a strictly increasing positive grid.
 
     Realizes rho(x) = (1/pi) * lim Im s(x + i eps) by linear Richardson
-    extrapolation from eps and 2*eps (eps = config.epsilon_floor), marching
+    extrapolation from eps and 2*eps (eps = _EPSILON), marching
     along the grid with warm starts.  Returns the density with negative
     extrapolation noise clipped at zero, the unclipped density, and the
     law's transform at x + i eps.
@@ -318,7 +314,6 @@ def _density_profile(f, y, xs, variant, config):
         raise ValueError("x_grid must be strictly increasing and positive")
     f_vals = _density_values(f, config)
     scale = variant.scale(y)
-    eps = config.epsilon_floor
     ims = {}
     raw = None
     for factor in (2.0, 1.0):
@@ -327,9 +322,9 @@ def _density_profile(f, y, xs, variant, config):
         warm: complex | None = None
         # march downward: cold starts are benign beyond the upper edge
         for i in range(xs.size - 1, -1, -1):
-            z = complex(xs[i], factor * eps)
+            z = complex(xs[i], factor * _EPSILON)
             try:
-                u, _, _ = _solve_point(f_vals, scale, z, config, warm)
+                u, _, _ = _solve_point(f_vals, scale, z, warm)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"density solve failed at x = {xs[i]!r}: {exc}", z=z, residual=exc.residual
@@ -351,14 +346,14 @@ def default_grid(f, y: float, variant: EquationVariant = DEFAULT_VARIANT,
     The equation with coefficient r has support inside
     [0, max(f) * (1 + sqrt(r))^2]; grading concentrates points near zero
     where hard-edge densities blow up like x**(-1/2).  The grid stands off
-    the origin by 100 * epsilon_floor: closer in, the near-axis evaluation
+    the origin by 100 * _EPSILON: closer in, the near-axis evaluation
     smears any point mass at zero into a spurious density spike, which must
     be kept out of the integrated density so that the atom can be read off
     as the missing mass.
     """
     f_max = max(float(np.max(_density_values(f, config))), 1e-12)
     edge = 1.05 * f_max * (1.0 + math.sqrt(variant.scale(y))) ** 2
-    lo = min(100.0 * config.epsilon_floor, 0.01 * edge)
+    lo = min(100.0 * _EPSILON, 0.01 * edge)
     u = np.arange(1, points + 1) / points
     return lo + (edge - lo) * u * u
 

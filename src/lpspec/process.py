@@ -126,14 +126,10 @@ class CoefficientModel:
             c = np.asarray(self.coeffs)
             nz = np.nonzero(c)[0]
             return int(nz[-1]) if nz.size else 0
-        if self.kind in ("white_noise", "ma"):
-            return len(self.theta)
-        if self.kind in ("ar1", "arma"):
-            if not any(self.phi):
-                return len(self.theta)
-            return None
-        # farima
-        return 0 if self.d == 0.0 else None
+        if self.kind == "farima":
+            return 0 if self.d == 0.0 else None
+        # rational: white noise, MA, AR(1), ARMA
+        return None if any(self.phi) else len(self.theta)
 
     def label(self) -> str:
         if self.kind == "white_noise":
@@ -227,49 +223,41 @@ def coefficients(model: CoefficientModel, count: int) -> np.ndarray:
         src = np.asarray(model.coeffs)[:count]
         c[: src.size] = src
         return c
-    if model.kind in ("white_noise", "ma"):  # white noise is MA(0)
-        c = np.zeros(count)
-        c[0] = 1.0
-        th = np.asarray(model.theta)[: max(count - 1, 0)]
-        c[1 : 1 + th.size] = th
-        return c
-    if model.kind in ("ar1", "arma"):
-        num = np.concatenate([[1.0], model.theta])
-        den = np.concatenate([[1.0], [-p for p in model.phi]])
-        impulse = np.zeros(count)
-        impulse[0] = 1.0
-        return signal.lfilter(num, den, impulse)
-    # farima: c_j = c_{j-1} (j - 1 + d) / j
-    j = np.arange(1, count)
-    ratios = (j - 1.0 + model.d) / j
-    return np.concatenate([[1.0], np.cumprod(ratios)]) if count > 1 else np.ones(1)
+    if model.kind == "farima":  # c_j = c_{j-1} (j - 1 + d) / j
+        j = np.arange(1, count)
+        ratios = (j - 1.0 + model.d) / j
+        return np.concatenate([[1.0], np.cumprod(ratios)]) if count > 1 else np.ones(1)
+    # rational: white noise, MA, AR(1), ARMA
+    num = np.concatenate([[1.0], model.theta])
+    den = np.concatenate([[1.0], [-p for p in model.phi]])
+    impulse = np.zeros(count)
+    impulse[0] = 1.0
+    return signal.lfilter(num, den, impulse)
 
 
 def total_energy(model: CoefficientModel) -> float:
     """Sum of squared coefficients over the full (possibly infinite) sequence."""
     if model.kind == "explicit":
         return float(np.sum(np.square(model.coeffs)))
-    if model.kind in ("white_noise", "ma"):
-        return 1.0 + float(np.sum(np.square(model.theta)))
+    if model.kind == "farima":  # closed form for the variance of the fractional filter
+        if model.d == 0.0:
+            return 1.0
+        return float(special.gamma(1.0 - 2.0 * model.d) / special.gamma(1.0 - model.d) ** 2)
+    # rational: white noise, MA, AR(1), ARMA
     if model.kind == "ar1":
         phi = model.phi[0]
         return 1.0 / (1.0 - phi * phi)
-    if model.kind == "arma":
-        if not any(model.phi):
-            return 1.0 + float(np.sum(np.square(model.theta)))
-        # extend until the block contribution is negligible
-        block, start, total = 4096, 0, 0.0
-        while start < 2**22:
-            c = coefficients(model, start + block)[start:]
-            total += float(c @ c)
-            if start > 0 and float(c @ c) <= 1e-17 * total:
-                return total
-            start += block
-        return total
-    # farima: known closed form for the variance of the fractional filter
-    if model.d == 0.0:
-        return 1.0
-    return float(special.gamma(1.0 - 2.0 * model.d) / special.gamma(1.0 - model.d) ** 2)
+    if not any(model.phi):
+        return 1.0 + float(np.sum(np.square(model.theta)))
+    # extend until the block contribution is negligible
+    block, start, total = 4096, 0, 0.0
+    while start < 2**22:
+        c = coefficients(model, start + block)[start:]
+        total += float(c @ c)
+        if start > 0 and float(c @ c) <= 1e-17 * total:
+            return total
+        start += block
+    return total
 
 
 def tail_energy(model: CoefficientModel, horizon: int) -> float:
@@ -358,22 +346,6 @@ class InnovationSpec:
     def sigma4(self) -> float:
         """Fourth moment E Z^4 of the innovation law."""
         return _SIGMA4[self.distribution]
-
-    def to_json(self) -> dict:
-        return {"dist": self.distribution, "seed": int(self.seed)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "InnovationSpec":
-        if not isinstance(doc, dict):
-            raise ValueError("innovations must be a JSON object")
-        unknown = set(doc) - {"dist", "seed"}
-        if unknown:
-            raise ValueError(f"innovations: unknown key {sorted(unknown)[0]!r}")
-        try:
-            seed = int(doc.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ValueError("innovations: key 'seed' must be an integer") from None
-        return cls(doc.get("dist", "gaussian"), seed)
 
 
 def draw_innovations(spec: InnovationSpec, count: int) -> np.ndarray:

@@ -7,8 +7,10 @@ adjudication of the equation variants, and convergence studies over growing
 matrix sizes.
 
 Per-replicate seeds derive from the base seed through a SplitMix64 avalanche
-of (base_seed XOR replicate_index), so replicate streams never collide and
-the whole report is a pure function of its configuration.  Replicates may run
+of (base_seed XOR replicate_index), so the whole report is a pure function of
+its configuration.  Within one base seed the replicate streams never collide;
+across base seeds they can: replicate r of seed s is replicate r ^ s ^ t of
+seed t, so nearby seeds such as s and s + 1 share streams.  Replicates may run
 on a thread pool; assembly is an ordered reduction over replicate indices, so
 the worker count cannot change a single output byte.
 """
@@ -437,6 +439,8 @@ def convergence_study(
     on to every `EnsembleConfig`.
     """
     sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise ValueError("sizes must not be empty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     configs = [
@@ -451,7 +455,7 @@ def convergence_study(
         )
         for n in sizes
     ]
-    candidates = _candidate_cdfs(configs[0], y) if configs else {}
+    candidates = _candidate_cdfs(configs[0], y)
     rows = []
     medians = []
     for config in configs:

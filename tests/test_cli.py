@@ -83,10 +83,14 @@ WHITE = {"kind": "white_noise"}
         ({"command": "solve", "model": WHITE, "y": 1.0, "variant": 5}, "'variant'"),
         ({"command": "solve", "model": WHITE, "y": [1]}, "'y'"),
         ({"command": "solve", "model": {"kind": "ar1"}, "y": 1.0}, "'phi'"),
-        ({"command": "solve", "model": WHITE, "y": 1.0, "innovations": {"seed": [1]}}, "'seed'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "innovations": {"seed": [1]}}, "'seed'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "seed": None}, "'seed'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "out": 5}, "'out'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 0}, "'grid_points'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": []}, "sizes"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "n": 0}, "'n'"),
+        ({"command": "compare", "model": WHITE, "p": 0, "n": 8}, "'p'"),
+        ({"command": "simulate", "model": WHITE, "p": 8, "n": 8, "replicates": 0}, "'replicates'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -97,6 +101,72 @@ def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
         assert run(argv) == 2
     assert any(key in rec.getMessage() for rec in caplog.records)
     assert not (tmp_path / "run").exists()
+
+
+# the keys each command reads besides command, seed, jobs and out; the
+# required ones come first
+READS = {
+    "simulate": ("model", "p", "n", "replicates", "innovations", "horizon", "tail_tol"),
+    "solve": ("model", "y", "n", "variant", "solver", "grid_points", "horizon", "tail_tol"),
+    "compare": ("model", "p", "n", "replicates", "innovations", "horizon", "tail_tol",
+                "variant", "solver", "grid_points", "dump_eigenvalues"),
+    "calibrate": ("p", "n", "replicates", "seeds", "innovations", "horizon", "tail_tol",
+                  "solver", "grid_points"),
+    "study": ("model", "y", "sizes", "replicates", "innovations", "horizon", "tail_tol",
+              "variant", "solver", "grid_points"),
+}
+REQUIRED = {"simulate": 3, "solve": 2, "compare": 3, "calibrate": 2, "study": 3}
+# a valid value for every key that some command reads
+VALUES = {"model": WHITE, "innovations": {"dist": "uniform"}, "p": 8, "n": 16, "y": 0.5,
+          "replicates": 2, "sizes": [8, 16], "seeds": [1, 2, 3],
+          "variant": "normalized-yinv-direct", "solver": {"quadrature_points": 64},
+          "grid_points": 64, "horizon": 16, "tail_tol": 1e-6, "dump_eigenvalues": True}
+UNREAD = [(command, key) for command in READS for key in VALUES if key not in READS[command]]
+
+
+def required_doc(command):
+    return {"command": command, **{k: VALUES[k] for k in READS[command][:REQUIRED[command]]}}
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_unread_key_exits_2_naming_key_and_command(tmp_path, caplog, command, key):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {**required_doc(command), key: VALUES[key]})
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run([command, "--config", path, "--out", str(out)]) == 2
+    message = " ".join(rec.getMessage() for rec in caplog.records)
+    assert repr(key) in message and repr(command) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [
+        ("calibrate", ["--variant", "raw-y-direct"], "variant"),
+        ("solve", ["--replicates", "2"], "replicates"),
+        ("simulate", ["--grid-points", "64"], "grid_points"),
+        ("study", ["--p", "8"], "p"),
+        ("compare", ["--sizes", "8,16"], "sizes"),
+    ],
+)
+def test_unread_flag_exits_2_naming_key(tmp_path, caplog, command, flags, key):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, required_doc(command))
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run([command, "--config", path, "--out", str(out), *flags]) == 2
+    assert any(repr(key) in rec.getMessage() for rec in caplog.records)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_read_key_accepted_and_only_read_keys_resolved(tmp_path, command):
+    doc = {"command": command, **{k: VALUES[k] for k in READS[command]}}
+    cfg = parse_config(write_config(tmp_path, doc), {})
+    assert set(cfg) == {"command", "seed", "jobs", "out", *READS[command]}
+    first = READS[command][0]
+    doc = {k: v for k, v in required_doc(command).items() if k != first}
+    with pytest.raises(ConfigError, match=f"missing required key '{first}' for command '{command}'"):
+        parse_config(write_config(tmp_path, doc), {})
 
 
 class TestSolveCommand:
@@ -139,15 +209,15 @@ class TestSolveCommand:
         assert rows[0] == "x,F"
         assert float(rows[-1].split(",")[1]) == pytest.approx(1.0, abs=5e-3)
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        from lpspec import lsd
+
+        monkeypatch.setattr(lsd, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(lsd, "_RESIDUAL_TOL", 1e-30)
         out = tmp_path / "run"
         code = run([
             "solve", "--y", "1.0", "--out", str(out),
-            "--config", write_config(
-                tmp_path,
-                {"command": "solve", "model": {"kind": "white_noise"},
-                 "solver": {"max_iterations": 1, "residual_tol": 1e-30}},
-            ),
+            "--config", write_config(tmp_path, {"command": "solve", "model": {"kind": "white_noise"}}),
         ])
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
@@ -298,15 +368,20 @@ def test_settings_reach_every_ensemble(tmp_path, monkeypatch, doc):
     monkeypatch.setattr(cli, "run_ensemble", recording_ensemble)
     monkeypatch.setattr(verify, "run_ensemble", recording_ensemble)
     monkeypatch.setattr(verify, "solve_lsd", recording_solve)
-    argv = [doc["command"], "--config", write_config(tmp_path, {**doc, **SETTINGS}),
+    simulate = doc["command"] == "simulate"
+    # simulate solves no law, so it reads neither `solver` nor `grid_points`
+    settings = {k: v for k, v in SETTINGS.items()
+                if not (simulate and k in ("solver", "grid_points"))}
+    argv = [doc["command"], "--config", write_config(tmp_path, {**doc, **settings}),
             "--out", str(tmp_path / "run")]
     assert run(argv) == 0
     solver = SolverConfig(quadrature_points=64)
     assert configs
     for config in configs:
-        assert (config.horizon, config.tail_tol, config.grid_points, config.distribution,
-                config.solver) == (40, 1e-8, 256, "uniform", solver)
-    assert bool(solves) == (doc["command"] != "simulate")
+        assert (config.horizon, config.tail_tol, config.distribution) == (40, 1e-8, "uniform")
+        if not simulate:
+            assert (config.grid_points, config.solver) == (256, solver)
+    assert bool(solves) == (not simulate)
     assert all((kw["grid_points"], kw["config"]) == (256, solver) for kw in solves)
 
 
@@ -364,6 +439,37 @@ def test_benchmark_wrap_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_benchmark_invocations_parse(tmp_path):
+    # every operation of a benchmark workload fails if the CLI rejects one of
+    # its flags or config keys; parse them all without running them
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from lpspec.cli import build_parser
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    parsed = []
+    for workload in workloads.WORKLOADS.values():
+        seed = workloads.cli_seeds(workload.name, 0)[0]
+        for toy in (False, True):
+            for inv in workload.invocations(toy):
+                config = write_config(tmp_path, inv.config)
+                argv = inv.argv(Path(config), tmp_path / "out", seed=seed, jobs=2)
+                args = build_parser().parse_args(argv)
+                parse_config(args.config, {k: v for k, v in vars(args).items() if k != "config"})
+                parsed.append(inv.command)
+    assert sorted(set(parsed)) == ["calibrate", "compare", "solve"]
+    assert len(parsed) == 2 * (4 + 1 + 1)
 
 
 def test_public_surface_resolves():

@@ -77,8 +77,6 @@ class TestQuadrature:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(damping=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(quadrature_points=1)
 
 

@@ -197,6 +197,10 @@ class TestConvergenceStudy:
         assert len(res.rows) == 1
         assert res.spearman_rho == 0.0
 
+    def test_sizes_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="sizes"):
+            convergence_study(WHITE, 1.0, [], replicates=1, base_seed=0)
+
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             convergence_study(WHITE, 1.0, [64, 32], replicates=1, base_seed=0)
