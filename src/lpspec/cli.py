@@ -83,6 +83,8 @@ _DEFAULTS = {
 
 # smallest accepted value of an integer key
 _MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 1, "jobs": 0, "seed": 0}
+# seeds are unsigned 64-bit integers
+_SEED_LIMIT = 2**64
 
 
 class ConfigError(ValueError):
@@ -177,6 +179,9 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             cfg[key] = _converted(cfg, key, int, "an integer")
             if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
                 raise ConfigError(f"key {key!r} must be at least {_MINIMUM[key]}")
+    extra = 2 if command == "calibrate" and cfg.get("seeds") is None else 0  # seed + 1, seed + 2
+    if cfg["seed"] >= _SEED_LIMIT - extra:
+        raise ConfigError(f"key 'seed' must be below 2**64{' - 2 for calibrate' if extra else ''}")
     if cfg.get("y") is not None:
         cfg["y"] = _converted(cfg, "y", float, "a number")
         if cfg["y"] <= 0:
@@ -187,8 +192,9 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
         cfg["sizes"] = _converted(cfg, "sizes", _int_list, "a list of integers")
     if cfg.get("seeds") is not None:
         # checked, not stored: the manifest echoes the seeds as given
-        if not _converted(cfg, "seeds", _int_list, "a non-empty list of integers"):
-            raise ConfigError("key 'seeds' must be a non-empty list of integers")
+        seeds = _converted(cfg, "seeds", _int_list, "a non-empty list of integers")
+        if not seeds or not all(0 <= seed < _SEED_LIMIT for seed in seeds):
+            raise ConfigError("key 'seeds' must be a non-empty list of integers in [0, 2**64)")
     missing = [key for key in required if cfg.get(key) is None]
     if missing:
         raise ConfigError(f"missing required key {missing[0]!r} for command {command!r}")

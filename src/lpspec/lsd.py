@@ -20,22 +20,22 @@ All eight combinations are implemented; the verification module adjudicates
 them empirically against white-noise Monte Carlo, where the law must reduce
 to the Marchenko-Pastur family.
 
-The fixed-point iteration is damped (s <- (1-a) s + a T(s)); since T maps the
-upper half-plane strictly into itself, the damped iterate cannot leave it.
-Near spectral edges the plain damped iteration degrades to a nearly neutral
-linear rate, so after a short damped warmup each step first tries a
-safeguarded Newton correction on the analytic residual
-R(s) = 1/s + z - r * mean(f/(1+fs)) (whose derivative falls out of the same
-vectorized pass); the correction is accepted only if it stays in the upper
-half-plane and strictly reduces |R|, otherwise the damped step is taken.
-Cold starts close to the real axis are handled by a continuation ladder that
-walks Im z down geometrically with warm restarts.
+The law is read off the explicit inverse z(s) = -1/s + r * mean(f/(1+fs))
+on the real axis (Silverstein & Choi, J. Multivariate Anal. 54, 1995), with
+the quadrature samples of f as a discrete law: values t_j > 0, weights w_j.
+In v = -1/s, z = v (1 + r sum_j w_j t_j / (v - t_j)) and z'(s) has the sign
+of 1 - phi(v), phi = r sum_j w_j t_j^2 / (v - t_j)^2.  A local maximum of z
+opens a support interval and a local minimum closes one: phi falls through 1
+once above the largest t_j (the upper edge), rises to r * share(f > 0) at
+v = 0 below the smallest (the lower edge; a hard edge at 0 if that is 1), and
+dips below 1 twice or never between neighbours (an inner gap).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,22 +57,18 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# density level above which a grid point belongs to the reported support
-_DENSITY_FLOOR = 1e-6
 # knots of the Marchenko-Pastur CDF table
 _MP_TABLE_POINTS = 4096
-# fixed-point iteration: damping of the plain step, iteration cap per attempt,
-# and the residual that counts as converged
-_DAMPING = 0.5
-_MAX_ITERATIONS = 500
-_RESIDUAL_TOL = 1e-10
-# height above the real axis of the density evaluation (Richardson from
-# eps and 2*eps)
-_EPSILON = 1e-6
+# Newton: iterations per solve, step halvings per iteration (and splits per
+# step of a march), and the residual relative to |z| + |1/s| that converges
+_MAX_ITERATIONS, _HALVINGS, _RESIDUAL_TOL = 30, 30, 1e-12
+# bisection steps per edge, matrix entries per pass of the edge search, and
+# the grid points each support interval gets when the grid allows
+_BISECTIONS, _SCAN_ENTRIES, _MIN_INTERVAL_POINTS = 50, 1 << 16, 16
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach the residual tolerance."""
+    """Newton or the edge search failed to reach a solution."""
 
     def __init__(self, message: str, z: complex | None = None, residual: float | None = None):
         super().__init__(message)
@@ -158,8 +154,18 @@ def _density_values(f, config: SolverConfig) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
+def _population(f, config: SolverConfig):
+    """The quadrature samples of f as a discrete law: distinct positive values
+    t, their weights w, and the share of positive samples (exact when 1)."""
+    t, counts = np.unique(_density_values(f, config), return_counts=True)
+    if t[-1] <= 0.0:
+        raise ValueError("spectral density must not vanish identically")
+    positive = t > np.finfo(float).eps * t[-1]  # rounding noise of a zero of f is a zero
+    return t[positive], counts[positive] / counts.sum(), int(counts[positive].sum()) / counts.sum()
+
+
 def _integrand(f_vals: np.ndarray, s: complex) -> np.ndarray:
-    """Samples of f/(1+fs) on the quadrature grid; rejects a singular 1+fs."""
+    """f/(1+fs) at the given values of f; rejects a singular 1+fs."""
     w = 1.0 + f_vals * s
     if float(np.min(np.abs(w))) < 1e-12:
         raise NumericalError(f"integrand singular at s = {s!r}")
@@ -176,109 +182,74 @@ def quadrature_integral(f, s: complex, variant: EquationVariant = DEFAULT_VARIAN
     return mean * _TWO_PI if variant.normalization == "raw" else mean
 
 
-def _residual_parts(f_vals: np.ndarray, s: complex, z: complex, scale: float):
-    """Residual R(s), the map target T(s), and the derivative R'(s)."""
-    a = _integrand(f_vals, s)
-    mean = complex(np.mean(a))
-    residual = 1.0 / s + z - scale * mean
-    target = 1.0 / (-z + scale * mean)
-    deriv = -1.0 / (s * s) + scale * complex(np.mean(a * a))
-    return residual, target, deriv
+def _residual_parts(t: np.ndarray, w: np.ndarray, s: complex, z: complex, scale: float):
+    """Residual R(s) = 1/s + z - scale * sum(w t/(1+ts)), its size and R'(s).
 
-
-def _fixed_point(
-    f_vals: np.ndarray,
-    scale: float,
-    z: complex,
-    s0: complex | None = None,
-) -> tuple[complex, float, int]:
-    """Solve 1/s = -z + scale * mean(f/(1+fs)) for the upper-half-plane root."""
-    start = complex(s0) if s0 is not None and complex(s0).imag > 0 else -1.0 / z
-    alpha = _DAMPING
-    s = start
-    abs_res = math.inf
-    iterations = 0
-    warmup = 3  # pure damped steps before Newton corrections kick in
-    while alpha >= 1e-6:
-        left_half_plane = False
-        for _ in range(_MAX_ITERATIONS):
-            iterations += 1
-            residual, target, deriv = _residual_parts(f_vals, s, z, scale)
-            abs_res = abs(residual)
-            if abs_res <= _RESIDUAL_TOL:
-                return s, abs_res, iterations
-            nxt = None
-            if iterations > warmup and abs(deriv) > 0.0 and np.isfinite(abs(deriv)):
-                step = residual / deriv
-                for shrink in (1.0, 0.5, 0.25, 0.125):
-                    cand = s - shrink * step
-                    if not (cand.imag > 0.0 and np.isfinite(cand.real) and np.isfinite(cand.imag)):
-                        continue
-                    cand_res, _, _ = _residual_parts(f_vals, cand, z, scale)
-                    if abs(cand_res) < abs_res:
-                        nxt = cand
-                        break
-            if nxt is None:
-                nxt = (1.0 - alpha) * s + alpha * target
-                if not (nxt.imag > 0.0 and np.isfinite(nxt.real) and np.isfinite(nxt.imag)):
-                    left_half_plane = True
-                    break
-            s = nxt
-        if not left_half_plane:
-            raise ConvergenceError(
-                f"no convergence at z = {z!r} after {iterations} iterations "
-                f"(residual {abs_res:.3e})",
-                z=z,
-                residual=abs_res,
-            )
-        # numerical exit from the half-plane: restart more cautiously
-        alpha *= 0.5
-        s = -1.0 / z
-    raise ConvergenceError(
-        f"iteration kept leaving the upper half-plane at z = {z!r}", z=z, residual=abs_res
-    )
-
-
-def _solve_point(
-    f_vals: np.ndarray,
-    scale: float,
-    z: complex,
-    s0: complex | None = None,
-) -> tuple[complex, float, int]:
-    """Solve at one z, falling back to continuation in Im z on failure.
-
-    The ladder starts at a comfortable height and walks the imaginary part
-    down geometrically, warm-starting each rung; it is only used when the
-    direct (possibly warm-started) solve does not converge.
+    The size takes Im R relative to Im s: Im R = Im z - Im s * B(s) is small
+    near any real s with z(s) close to z, which is no root.
     """
-    try:
-        return _fixed_point(f_vals, scale, z, s0)
-    except ConvergenceError:
-        pass
-    height = max(1.0, abs(z.real)) * 0.5
-    warm: complex | None = None
-    total = 0
-    while True:
-        rung = complex(z.real, max(z.imag, height))
-        s, res, its = _fixed_point(f_vals, scale, rung, warm)
-        total += its
-        warm = s
-        if height <= z.imag:
-            return s, res, total
-        height /= 8.0
+    a = _integrand(t, s)
+    residual = 1.0 / s + z - scale * complex(np.dot(a, w))
+    size = abs(residual.real) + abs(residual.imag) * abs(s) / s.imag
+    return residual, size, -1.0 / (s * s) + scale * complex(np.dot(a * a, w))
 
 
-def solve_stieltjes(
-    f,
-    y: float,
-    z: complex,
-    variant: EquationVariant = DEFAULT_VARIANT,
-    config: SolverConfig = DEFAULT_CONFIG,
-    s0: complex | None = None,
-) -> complex:
+def _newton(t: np.ndarray, w: np.ndarray, scale: float, z: complex, s: complex):
+    """Root of R from a start s with Im s > 0, and R' there.  Each step is
+    halved until it stays in the upper half-plane and lowers the size of R."""
+    residual, merit, deriv = _residual_parts(t, w, s, z, scale)
+    for _ in range(_MAX_ITERATIONS):
+        if merit <= _RESIDUAL_TOL * (abs(z) + abs(1.0 / s)):
+            return s, deriv
+        step = residual / deriv
+        for _ in range(_HALVINGS):
+            trial = s - step
+            if trial.imag > 0.0 and math.isfinite(abs(trial)):
+                try:
+                    parts = _residual_parts(t, w, trial, z, scale)
+                except NumericalError:
+                    parts = (None, math.inf, None)
+                if parts[1] < merit:
+                    break
+            step *= 0.5
+        else:
+            break
+        s, (residual, merit, deriv) = trial, parts
+    raise ConvergenceError(f"no convergence at z = {z!r} (residual {merit:.3e})",
+                           z=z, residual=merit)
+
+
+def _follow(t, w, scale: float, z_from: complex, s: complex, deriv, z_to: complex,
+            curvature: float = 0.0):
+    """Root at z_to and R' there, following the root s at z_from: Newton
+    starts from the tangent ds/dz = -1/R'(s) (deriv = R'(s)) or, from a right
+    edge (deriv None), from s + i sqrt(2 (z_from - z) / curvature); a step
+    that fails is split in half."""
+    targets = [z_to]
+    while targets:
+        z = targets[-1]
+        if deriv is None:
+            start = s + 1j * math.sqrt(2.0 * (z_from - z).real / curvature)
+        else:
+            start = s - (z - z_from) / deriv
+            start = start if start.imag > 0.0 and math.isfinite(abs(start)) else s
+        try:
+            s, deriv = _newton(t, w, scale, z, start)
+        except ConvergenceError:
+            if len(targets) > _HALVINGS:
+                raise
+            targets.append(0.5 * (z + z_from))
+            continue
+        z_from = targets.pop()
+    return s, deriv
+
+
+def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_VARIANT,
+                    config: SolverConfig = DEFAULT_CONFIG, s0: complex | None = None) -> complex:
     """Value of the solved transform at one point z of the upper half-plane.
 
-    Returns the raw fixed-point solution of the variant's equation; for the
+    Returns the raw solution of the variant's equation, by Newton from `s0`
+    (or -1/z) or else by following the root down from high above z; for the
     companion role the conversion to the law's own transform happens in the
     density evaluation, not here.
     """
@@ -287,184 +258,206 @@ def solve_stieltjes(
         raise ValueError("solve_stieltjes requires Im z > 0")
     if y <= 0:
         raise ValueError("aspect ratio y must be positive")
-    f_vals = _density_values(f, config)
-    s, _, _ = _solve_point(f_vals, variant.scale(y), z, s0)
-    return s
+    t, w, _ = _population(f, config)
+    scale = variant.scale(y)
+    try:
+        return _newton(t, w, scale, z, s0 if s0 is not None and s0.imag > 0 else -1.0 / z)[0]
+    except ConvergenceError:
+        top = complex(z.real, max(z.imag, 4.0 * (abs(z) + (1.0 + scale) * t[-1])))
+        return _follow(t, w, scale, top, *_newton(t, w, scale, top, -1.0 / top), z)[0]
 
 
-def _to_direct(u: complex, z: complex, y: float, variant: EquationVariant) -> complex:
+def _to_direct(u, z, y: float, variant: EquationVariant):
     if variant.role == "direct":
         return u
     r = variant.effective_ratio(y)
     return (u + (1.0 - r) / z) / r
 
 
-def _density_profile(f, y, xs, variant, config):
-    """Density samples on a strictly increasing positive grid.
+def _pole_sums(v: np.ndarray, t: np.ndarray, w: np.ndarray, scale: float, power: int) -> np.ndarray:
+    """scale * sum_j w_j (t_j / (v - t_j))^power at each v, in blocks of rows."""
+    out = []
+    with np.errstate(divide="ignore"):
+        for block in np.array_split(v, 1 + v.size * t.size // _SCAN_ENTRIES):
+            ratio = term = t / (block[:, None] - t)
+            for _ in range(power - 1):  # not **: a negative base takes a slow path
+                term = term * ratio
+            out.append(scale * (term @ w))
+    return np.concatenate(out)
 
-    Realizes rho(x) = (1/pi) * lim Im s(x + i eps) by linear Richardson
-    extrapolation from eps and 2*eps (eps = _EPSILON), marching
-    along the grid with warm starts.  Returns the density with negative
-    extrapolation noise clipped at zero, the unclipped density, and the
-    law's transform at x + i eps.
-    """
-    if xs.ndim != 1 or xs.size < 1:
-        raise ValueError("x_grid must be a non-empty 1-d array")
-    if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-        raise ValueError("x_grid must be strictly increasing and positive")
-    f_vals = _density_values(f, config)
-    scale = variant.scale(y)
-    ims = {}
-    raw = None
-    for factor in (2.0, 1.0):
-        level = np.empty(xs.size)
-        solved = np.empty(xs.size, dtype=complex)
-        warm: complex | None = None
-        # march downward: cold starts are benign beyond the upper edge
-        for i in range(xs.size - 1, -1, -1):
-            z = complex(xs[i], factor * _EPSILON)
-            try:
-                u, _, _ = _solve_point(f_vals, scale, z, warm)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"density solve failed at x = {xs[i]!r}: {exc}", z=z, residual=exc.residual
-                ) from exc
-            warm = u
-            solved[i] = _to_direct(u, z, y, variant)
-            level[i] = solved[i].imag
-        ims[factor] = level
-        if factor == 1.0:
-            raw = solved
-    rho_raw = (2.0 * ims[1.0] - ims[2.0]) / math.pi
-    return np.clip(rho_raw, 0.0, None), rho_raw, raw
+
+def _bisect(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sign changes of an increasing function g in (lo, hi), elementwise."""
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        up = g(mid) > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+# a support interval [a, b] (a = 0: a hard edge), the root at b and z'' there,
+# which seed the density march, and the weight of the t_j whose clusters it holds
+_Interval = NamedTuple("_Interval", [("a", float), ("b", float), ("s_b", float),
+                                     ("curvature", float), ("weight", float)])
+
+
+def _support(t: np.ndarray, w: np.ndarray, share: float, scale: float) -> list[_Interval]:
+    """Support intervals of the law, from the critical points of z(s)."""
+    def phi(v):
+        return _pole_sums(v, t, w, scale, 2)
+
+    reach = math.sqrt(scale * float(np.dot(w, t * t)))  # phi < 1 beyond it from every t_j
+    # between two neighbouring t_j their terms alone keep phi above
+    # (cbrt(A) + cbrt(B))^3 / gap^2, so only gaps where that is below 1 can dip
+    near = scale * w * t * t
+    gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
+    lo, hi = t[gaps], t[gaps + 1]
+    vmin = _bisect(lambda v: -_pole_sums(v, t, w, scale, 3), lo, hi)  # phi' = 0
+    dips = phi(vmin) < 1.0
+    lo, hi, vmin = lo[dips], hi[dips], vmin[dips]
+    # in v order the lower edge and the maxima of z open, the minima and the
+    # upper edge close; below t_1 phi rises to scale * share at v = 0
+    lower = (-reach, 0.0) if scale * share > 1.0 else (0.0, t[0])
+    v_open = _bisect(lambda v: phi(v) - 1, np.append(lower[0], vmin), np.append(lower[1], hi))
+    v_close = _bisect(lambda v: 1 - phi(v), np.append(lo, t[-1]), np.append(vmin, t[-1] + reach))
+    # at a hard edge (scale * share = 1) z falls from 0 below t_1: the edge is 0
+    opens = np.maximum(v_open * (1.0 + _pole_sums(v_open, t, w, scale, 1)), 0.0)
+    closes = v_close * (1.0 + _pole_sums(v_close, t, w, scale, 1))
+    edges = np.column_stack([opens, closes]).ravel()
+    if np.any(np.diff(edges) <= 0.0):
+        x = float(edges[np.argmax(np.diff(edges) <= 0.0)])
+        residual = float(np.max(np.abs(phi(v_close) - 1.0)))
+        raise ConvergenceError(f"edge search: support edges out of order at x = {x!r} "
+                               f"(residual {residual:.3e})", z=complex(x), residual=residual)
+    curvature = 2.0 * v_close**3 * (1.0 + _pole_sums(v_close, t, w, scale, 3))
+    below = np.concatenate([[0.0], np.cumsum(w)])[np.searchsorted(t, v_close)]  # weight below b
+    rows = zip(opens, closes, -1.0 / v_close, curvature, np.diff(below, prepend=0.0))
+    return [_Interval(*map(float, row)) for row in rows]
+
+
+def _graded_grid(intervals: list[_Interval], points: int) -> np.ndarray:
+    """`points` points over the support intervals, cosine-graded in sqrt(x):
+    (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally spaced
+    theta in [0, pi], edges included but a hard edge at 0.  Each interval gets
+    _MIN_INTERVAL_POINTS (at most half the grid in all), the rest by weight."""
+    count = len(intervals)
+    floor = min(_MIN_INTERVAL_POINTS, max(3, points // (2 * count)))
+    if count * floor > points:
+        raise ValueError(f"grid_points = {points} cannot resolve {count} support intervals "
+                         f"(at least {3 * count} needed)")
+    weights = np.array([iv.weight for iv in intervals])
+    sizes = floor + ((points - count * floor) * weights / weights.sum()).astype(int)
+    sizes[np.argmax(weights)] += points - sizes.sum()
+    parts = []
+    for iv, n in zip(intervals, sizes):
+        hard = iv.a == 0.0
+        theta = np.arange(hard, n + hard) * (math.pi / (n - 1 + hard))
+        ra, rb = math.sqrt(iv.a), math.sqrt(iv.b)
+        nodes = (ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))) ** 2
+        nodes[0], nodes[-1] = nodes[0] if hard else iv.a, iv.b
+        parts.append(nodes)
+    return np.concatenate(parts)
 
 
 def default_grid(f, y: float, variant: EquationVariant = DEFAULT_VARIANT,
                  points: int = 1024, config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Quadratically graded grid covering the variant's support bound.
+    """`points` points over the law's support intervals (`_graded_grid`)."""
+    t, w, share = _population(f, config)
+    return _graded_grid(_support(t, w, share, variant.scale(y)), points)
 
-    The equation with coefficient r has support inside
-    [0, max(f) * (1 + sqrt(r))^2]; grading concentrates points near zero
-    where hard-edge densities blow up like x**(-1/2).  The grid stands off
-    the origin by 100 * _EPSILON: closer in, the near-axis evaluation
-    smears any point mass at zero into a spurious density spike, which must
-    be kept out of the integrated density so that the atom can be read off
-    as the missing mass.
-    """
-    f_max = max(float(np.max(_density_values(f, config))), 1e-12)
-    edge = 1.05 * f_max * (1.0 + math.sqrt(variant.scale(y))) ** 2
-    lo = min(100.0 * _EPSILON, 0.01 * edge)
-    u = np.arange(1, points + 1) / points
-    return lo + (edge - lo) * u * u
+
+def _density_profile(t, w, scale: float, xs: np.ndarray, intervals: list[_Interval]) -> np.ndarray:
+    """Solved transform at each grid point, zero outside the support, by
+    following the root down each support interval from its right edge."""
+    u = np.zeros(xs.size, dtype=complex)
+    for iv in intervals:
+        x_done, s, deriv = complex(iv.b), complex(iv.s_b), None
+        for i in np.flatnonzero((xs > iv.a) & (xs < iv.b))[::-1]:
+            x = complex(xs[i])
+            try:
+                s, deriv = _follow(t, w, scale, x_done, s, deriv, x, iv.curvature)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"density: solve failed at x = {x.real!r}: {exc}",
+                                       z=x, residual=exc.residual) from exc
+            x_done, u[i] = x, s
+    return u
+
+
+def _cumulative_mass(xs: np.ndarray, rho: np.ndarray, intervals: list[_Interval]) -> np.ndarray:
+    """Continuous mass below each grid point: per support interval, the
+    trapezoid rule in the angle theta of `_graded_grid` over the grid points
+    and the edges, where rho dx/dtheta is smooth and vanishes at every edge."""
+    edges = np.array([(iv.a, iv.b) for iv in intervals])
+    nodes = np.union1d(xs, edges)
+    at = np.searchsorted(nodes, xs)
+    dens = np.zeros(nodes.size)
+    dens[at] = rho
+    k = np.maximum(np.searchsorted(edges[:, 0], nodes, side="right") - 1, 0)
+    ra, rb, rx = np.sqrt(edges[k, 0]), np.sqrt(edges[k, 1]), np.sqrt(nodes)
+    theta = np.arccos(np.clip((ra + rb - 2.0 * rx) / (rb - ra), -1.0, 1.0))
+    g = dens * 2.0 * rx * np.sqrt(np.clip((rx - ra) * (rb - rx), 0.0, None))  # rho dx/dtheta
+    same = (k[1:] == k[:-1]) & (rx[:-1] >= ra[:-1]) & (rx[1:] <= rb[1:])
+    cells = np.where(same, 0.5 * (g[1:] + g[:-1]) * np.diff(theta), 0.0)
+    return np.concatenate([[0.0], np.cumsum(cells)])[at]
 
 
 @dataclass(frozen=True)
 class LsdSolution:
-    """Solved law on a grid: transform values, density, CDF, atom, support."""
+    """Solved law on a grid: density, CDF, atom at zero and support hull."""
 
     y: float
     variant: EquationVariant
     grid: np.ndarray
-    s_values: np.ndarray
     density: np.ndarray
     cdf_values: np.ndarray
     atom_at_zero: float
     support: tuple[float, float]
-    min_raw_density: float = 0.0
-    density_mass: float = 0.0
+    density_mass: float
 
     def mass(self) -> float:
-        """Atom plus integrated density (including the leading [0, x_0] cell)."""
+        """Atom plus the density integrated over the support."""
         return self.atom_at_zero + self.density_mass
 
     def to_json(self) -> dict:
-        return {
-            "y": self.y,
-            "variant": self.variant.label,
-            "grid": [float(v) for v in self.grid],
-            "s_re": [float(v.real) for v in self.s_values],
-            "s_im": [float(v.imag) for v in self.s_values],
-            "density": [float(v) for v in self.density],
-            "cdf": [float(v) for v in self.cdf_values],
-            "atom": self.atom_at_zero,
-            "support": [self.support[0], self.support[1]],
-            "min_raw_density": self.min_raw_density,
-            "density_mass": self.density_mass,
-        }
+        return {"y": self.y, "variant": self.variant.label, "grid": self.grid.tolist(),
+                "density": self.density.tolist(), "cdf": self.cdf_values.tolist(),
+                "atom": self.atom_at_zero, "support": list(self.support),
+                "density_mass": self.density_mass}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LsdSolution":
-        s = np.asarray(doc["s_re"], dtype=float) + 1j * np.asarray(doc["s_im"], dtype=float)
-        return cls(
-            y=float(doc["y"]),
-            variant=EquationVariant.parse(doc["variant"]),
-            grid=np.asarray(doc["grid"], dtype=float),
-            s_values=s,
-            density=np.asarray(doc["density"], dtype=float),
-            cdf_values=np.asarray(doc["cdf"], dtype=float),
-            atom_at_zero=float(doc["atom"]),
-            support=(float(doc["support"][0]), float(doc["support"][1])),
-            min_raw_density=float(doc.get("min_raw_density", 0.0)),
-            density_mass=float(doc.get("density_mass", 0.0)),
-        )
+        arrays = [np.asarray(doc[key], dtype=float) for key in ("grid", "density", "cdf")]
+        support = tuple(map(float, doc["support"]))
+        return cls(float(doc["y"]), EquationVariant.parse(doc["variant"]), *arrays,
+                   float(doc["atom"]), support, float(doc["density_mass"]))
 
 
-def solve_lsd(
-    f,
-    y: float,
-    x_grid=None,
-    variant: EquationVariant = DEFAULT_VARIANT,
-    config: SolverConfig = DEFAULT_CONFIG,
-    grid_points: int = 1024,
-) -> LsdSolution:
-    """Full solve: density on a grid, cumulative CDF, zero atom, support.
+def solve_lsd(f, y: float, x_grid=None, variant: EquationVariant = DEFAULT_VARIANT,
+              config: SolverConfig = DEFAULT_CONFIG, grid_points: int = 1024) -> LsdSolution:
+    """Full solve: support edges, density on a grid, atom at zero and CDF.
 
-    The atom at zero is 1 minus the integrated density (clipped to [0, 1]),
-    which is stabler than reading it off the transform's asymptotics.  The
-    support is the smallest grid interval holding every point with density
-    above 1e-6.
+    The atom is exact, and nothing is clipped or renormalized: 1 - mass() is
+    the quadrature error of the density.  The support is the hull of the
+    support intervals.
     """
     if y <= 0:
         raise ValueError("aspect ratio y must be positive")
-    xs = default_grid(f, y, variant, grid_points, config) if x_grid is None \
-        else np.asarray(x_grid, dtype=float)
-    rho, rho_raw, s_vals = _density_profile(f, y, xs, variant, config)
-    segments = 0.5 * (rho[1:] + rho[:-1]) * np.diff(xs)
-    head = _head_mass(xs, rho)
-    cumulative = head + np.concatenate([[0.0], np.cumsum(segments)])
-    total = float(cumulative[-1])
-    atom = min(max(1.0 - total, 0.0), 1.0)
-    cdf_vals = np.minimum(atom + cumulative, 1.0)
-    passing = xs[rho > _DENSITY_FLOOR]
-    return LsdSolution(
-        y=float(y),
-        variant=variant,
-        grid=xs,
-        s_values=s_vals,
-        density=rho,
-        cdf_values=cdf_vals,
-        atom_at_zero=atom,
-        support=(float(passing[0]), float(passing[-1])) if passing.size else (0.0, 0.0),
-        min_raw_density=float(np.min(rho_raw)),
-        density_mass=total,
-    )
-
-
-def _head_mass(xs: np.ndarray, rho: np.ndarray) -> float:
-    """Mass of the leading cell [0, x_0], allowing a hard-edge power blowup.
-
-    Fits rho ~ c x^g from the first two samples and integrates the power
-    law; for a square-root edge this recovers the exact 2 rho(x0) x0, for
-    densities vanishing at the origin it is ~0.  The exponent is clamped to
-    [-0.5, 2]: nothing steeper than an inverse square root is a genuine
-    edge profile here, and steeper fits indicate a smeared point mass that
-    must not be booked as density.
-    """
-    if xs.size < 2 or rho[0] <= 0.0 or rho[1] <= 0.0:
-        return 0.5 * float(rho[0]) * float(xs[0])
-    g = math.log(rho[1] / rho[0]) / math.log(xs[1] / xs[0])
-    g = min(max(g, -0.5), 2.0)
-    return float(rho[0]) * float(xs[0]) / (g + 1.0)
+    t, w, share = _population(f, config)
+    scale = variant.scale(y)
+    intervals = _support(t, w, share, scale)
+    if x_grid is None:
+        xs = _graded_grid(intervals, grid_points)
+    else:
+        xs = np.asarray(x_grid, dtype=float)
+        if xs.ndim != 1 or xs.size < 1 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
+            raise ValueError("x_grid must be a non-empty, strictly increasing, positive 1-d array")
+    u = _density_profile(t, w, scale, xs, intervals)
+    rho = np.imag(_to_direct(u, xs, y, variant)) / math.pi
+    cumulative = _cumulative_mass(xs, rho, intervals)
+    # the atom is -z s(z) as z -> 0, so the role's map sends u ~ -atom/z along
+    atom = float(-_to_direct(-max(0.0, 1.0 - scale * share), 1.0, y, variant))
+    return LsdSolution(float(y), variant, xs, rho, atom + cumulative, atom,
+                       (intervals[0].a, intervals[-1].b), float(cumulative[-1]))
 
 
 class _TabulatedCdf:

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/config.json", {})
 
+    def test_largest_seeds_accepted(self, tmp_path):
+        # seeds are u64; calibrate also runs seed + 1 and seed + 2
+        for command, seed in (("compare", 2**64 - 1), ("calibrate", 2**64 - 3)):
+            doc = {"command": command, "p": 8, "n": 16, "seed": seed}
+            if command == "compare":
+                doc["model"] = {"kind": "white_noise"}
+            assert parse_config(write_config(tmp_path, doc), {})["seed"] == seed
+
 
 WHITE = {"kind": "white_noise"}
 
@@ -91,6 +100,12 @@ WHITE = {"kind": "white_noise"}
         ({"command": "solve", "model": WHITE, "y": 1.0, "n": 0}, "'n'"),
         ({"command": "compare", "model": WHITE, "p": 0, "n": 8}, "'p'"),
         ({"command": "simulate", "model": WHITE, "p": 8, "n": 8, "replicates": 0}, "'replicates'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "seed": 2**64}, "'seed'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "seed": 2**70}, "'seed'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": [1, 2**64]}, "'seeds'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": [-1]}, "'seeds'"),
+        # calibrate without seeds also runs seed + 1 and seed + 2
+        ({"command": "calibrate", "p": 8, "n": 16, "seed": 2**64 - 2}, "'seed'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -209,18 +224,23 @@ class TestSolveCommand:
         assert rows[0] == "x,F"
         assert float(rows[-1].split(",")[1]) == pytest.approx(1.0, abs=5e-3)
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, caplog):
         from lpspec import lsd
 
         monkeypatch.setattr(lsd, "_MAX_ITERATIONS", 1)
         monkeypatch.setattr(lsd, "_RESIDUAL_TOL", 1e-30)
         out = tmp_path / "run"
-        code = run([
-            "solve", "--y", "1.0", "--out", str(out),
-            "--config", write_config(tmp_path, {"command": "solve", "model": {"kind": "white_noise"}}),
-        ])
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run([
+                "solve", "--y", "1.0", "--out", str(out),
+                "--config", write_config(tmp_path, {"command": "solve", "model": {"kind": "white_noise"}}),
+            ])
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
+        # the message names the stage, the point and the residual
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert re.search(r"density: solve failed at x = \d", message)
+        assert re.search(r"residual \d\.\d+e[+-]\d+", message)
 
 
 class TestSimulateCommand:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpspec.lsd import (
@@ -20,7 +20,14 @@ from lpspec.lsd import (
     solve_lsd,
     solve_stieltjes,
 )
-from lpspec.process import SpectralDensity
+from lpspec.process import (
+    CoefficientModel,
+    InnovationSpec,
+    ProcessSpec,
+    SpectralDensity,
+    default_horizon,
+    spectral_density,
+)
 from lpspec.spectra import ks_distance
 
 FLAT = SpectralDensity([1.0])
@@ -241,8 +248,10 @@ class TestSolveLsd:
         assert float(cdf.cdf(2.0 * sol.grid[-1])) == sol.cdf_values[-1]
         np.testing.assert_array_equal(cdf.breakpoints(), knots)
         assert cdf.support() == (0.0, float(sol.grid[-1]))
-        above_floor = sol.grid[sol.density > 1e-6]
-        assert sol.support == (float(above_floor[0]), float(above_floor[-1]))
+        # the grid spans the computed support edges, where the density is 0
+        assert sol.support == (float(sol.grid[0]), float(sol.grid[-1]))
+        assert sol.density[0] == sol.density[-1] == 0.0
+        assert np.all(sol.density[1:-1] > 0.0)
 
     def test_cdf_midpoint_value(self, mp1_solution):
         mp = marchenko_pastur(1.0)
@@ -252,13 +261,11 @@ class TestSolveLsd:
         assert 0.995 <= mp1_solution.mass() <= 1.005
 
     def test_density_nonnegative_before_clipping(self, mp1_solution):
-        assert mp1_solution.min_raw_density >= -1e-8
+        # nothing clips the density: it is Im s / pi at every grid point
+        assert np.all(mp1_solution.density >= 0.0)
 
     def test_monotone_cdf_values(self, mp1_solution):
         assert np.all(np.diff(mp1_solution.cdf_values) >= 0)
-
-    def test_transform_stays_upper_half_plane(self, mp1_solution):
-        assert np.all(mp1_solution.s_values.imag > 0)
 
     def test_support_estimate(self, mp1_solution):
         lo, hi = mp1_solution.support
@@ -303,20 +310,29 @@ class TestSolveLsd:
         assert abs(hi - mp.b) <= 0.05
 
     @given(st.floats(0.1, 10.0))
+    @example(1.0)
+    @example(1.0000000000000002)  # a hard edge, up to rounding
+    @example(0.9999999999999999)
     @settings(max_examples=25, deadline=None)
     def test_default_white_noise_law_is_marchenko_pastur(self, y):
         # two quadrature points integrate a flat density exactly
         sol = solve_lsd(FLAT, y, config=SolverConfig(quadrature_points=2), grid_points=256)
-        assert ks_distance(lsd_cdf(sol), marchenko_pastur(y, 1.0 / y)) <= 1e-2
-        assert abs(sol.atom_at_zero - max(0.0, 1.0 - 1.0 / y)) <= 1e-2
-        assert abs(sol.mass() - 1.0) <= 1e-2
+        mp = marchenko_pastur(y, 1.0 / y)
+        assert ks_distance(lsd_cdf(sol), mp) <= 1e-2
+        # the edges (1 -+ sqrt(y))^2 / y, the hard edge at y = 1 included
+        assert abs(sol.support[0] - mp.a) <= 1e-8 and abs(sol.support[1] - mp.b) <= 1e-8
+        assert sol.atom_at_zero == max(0.0, 1.0 - 1.0 / y)
+        assert abs(sol.mass() - 1.0) <= 1e-5
         assert np.all(np.diff(sol.cdf_values) >= 0.0)
 
     def test_default_grid_properties(self):
         grid = default_grid(FLAT, 1.0, points=128)
         assert grid.size == 128
         assert np.all(np.diff(grid) > 0)
-        assert grid[-1] >= 4.0
+        # the hard edge at 0 stays off the grid; the upper edge is its last point
+        assert grid[0] > 0.0
+        assert abs(grid[-1] - 4.0) <= 1e-12
+        assert default_grid(FLAT, 2.0, points=128)[0] == solve_lsd(FLAT, 2.0, grid_points=128).support[0]
 
     def test_json_round_trip(self, mp1_solution):
         doc = json.loads(json.dumps(mp1_solution.to_json()))
@@ -324,6 +340,39 @@ class TestSolveLsd:
         np.testing.assert_allclose(back.grid, mp1_solution.grid)
         np.testing.assert_allclose(back.density, mp1_solution.density)
         assert back.variant == mp1_solution.variant
+        np.testing.assert_array_equal(back.cdf_values, mp1_solution.cdf_values)
         assert back.atom_at_zero == mp1_solution.atom_at_zero
+        assert back.support == mp1_solution.support
         assert back.mass() == mp1_solution.mass()
-        assert back.min_raw_density == mp1_solution.min_raw_density
+
+
+def model_density(doc, tail_tol=1e-12):
+    model = CoefficientModel.from_json(doc)
+    horizon = default_horizon(model, 256, tail_tol=tail_tol)
+    return spectral_density(ProcessSpec(model, InnovationSpec(), horizon, tail_tol=tail_tol))
+
+
+@pytest.mark.parametrize(
+    "doc, tail_tol",
+    [
+        ({"kind": "farima", "d": -0.2}, 1e-6),
+        ({"kind": "ma", "theta": [-1.0]}, 1e-12),
+        ({"kind": "ma", "theta": [1.0, 1.0, 1.0]}, 1e-12),
+        ({"kind": "explicit", "coefficients": [1.0, -1.0]}, 1e-12),
+    ],
+)
+def test_spectra_with_zeros_split_the_law_at_y_above_one(doc, tail_tol):
+    # zeros or near-zeros of f give the discrete population law small values
+    # whose clusters separate from the bulk at y = 2: each becomes its own
+    # support interval, with the density 0 at its edges
+    f = model_density(doc, tail_tol)
+    y = 2.0
+    sol = solve_lsd(f, y)
+    # the atom of the discrete law: one minus 1/y times the share of the
+    # quadrature samples above the rounding level of the largest
+    samples = f(np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
+    share = np.count_nonzero(samples > np.finfo(float).eps * samples.max()) / samples.size
+    assert sol.atom_at_zero == max(0.0, 1.0 - (1.0 / y) * share)
+    assert abs(sol.atom_at_zero + sol.density_mass - 1.0) <= 1e-3
+    assert np.all(np.diff(sol.cdf_values) >= 0.0)
+    assert np.count_nonzero(sol.density[1:-1] == 0.0) >= 2  # at least one inner gap
