@@ -466,14 +466,10 @@ class _TabulatedCdf:
     Zero below the origin, `right` beyond the last knot.
     """
 
-    is_step = False
-
-    def __init__(self, knots: np.ndarray, values: np.ndarray, right: float,
-                 support: tuple[float, float]):
+    def __init__(self, knots: np.ndarray, values: np.ndarray, right: float):
         self._knots = knots
         self._values = values
         self._right = right
-        self._support = support
 
     def _interp(self, xs: np.ndarray) -> np.ndarray:
         return np.interp(xs, self._knots, self._values, right=self._right)
@@ -489,15 +485,11 @@ class _TabulatedCdf:
     def breakpoints(self) -> np.ndarray:
         return self._knots
 
-    def support(self) -> tuple[float, float]:
-        return self._support
-
 
 def lsd_cdf(solution: LsdSolution) -> _TabulatedCdf:
     """CDF evaluable built from a solved law: the atom at zero, then the grid CDF."""
     values = np.concatenate([[solution.atom_at_zero], solution.cdf_values])
-    return _TabulatedCdf(np.concatenate([[0.0], solution.grid]), values, values[-1],
-                         (0.0, float(solution.grid[-1])))
+    return _TabulatedCdf(np.concatenate([[0.0], solution.grid]), values, values[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +536,6 @@ class MarchenkoPasturLaw(_TabulatedCdf):
             np.concatenate([[0.0], x]),
             np.concatenate([[self.atom], self.atom + cum]),
             1.0,
-            (0.0 if self.atom > 0 else float(self.a), float(self.b)),
         )
 
     def density(self, x):

@@ -130,8 +130,8 @@ def gram(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("gram expects a 2-d matrix")
-    g = m @ m.T
-    return (g + g.T) / (2.0 * m.shape[0])
+    # numpy forms m @ m.T with syrk and mirrors the triangle: exactly symmetric
+    return (m @ m.T) / m.shape[0]
 
 
 def subdiagonal_shift(m: int) -> np.ndarray:

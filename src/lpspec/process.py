@@ -408,15 +408,12 @@ def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
 def _filtered_record(spec: ProcessSpec, kernel: np.ndarray, length: int) -> np.ndarray:
     """X_1..X_length from the spec's innovation stream filtered by `kernel`.
 
-    Trailing zero coefficients are trimmed; an identity kernel returns a copy
-    of the draws instead of convolving.
+    Trailing zero coefficients are trimmed.
     """
     j = spec.horizon
     draws = draw_innovations(spec.innovations, j + length)
     nz = np.nonzero(kernel)[0]
     kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-    if kernel.size == 1 and kernel[0] == 1.0:
-        return draws[j:].copy()
     return signal.convolve(draws, kernel, mode="full", method="auto")[j : j + length]
 
 
@@ -442,10 +439,8 @@ class SpectralDensity:
         w = np.asarray(omega, dtype=float)
         e = np.exp(-1j * w)
         num = np.polynomial.polynomial.polyval(e, self.ma_coeffs)
-        val = np.abs(num) ** 2
-        if self.ar_coeffs.size > 1 or self.ar_coeffs[0] != 1.0:
-            den = np.polynomial.polynomial.polyval(e, self.ar_coeffs)
-            val = val / np.abs(den) ** 2
+        den = np.polynomial.polynomial.polyval(e, self.ar_coeffs)
+        val = np.abs(num) ** 2 / np.abs(den) ** 2
         return val if val.shape else float(val)
 
 

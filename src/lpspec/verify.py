@@ -17,6 +17,7 @@ the worker count cannot change a single output byte.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -65,6 +66,8 @@ __all__ = [
     "splitmix64",
     "trace_moment_check",
 ]
+
+log = logging.getLogger("lpspec.verify")
 
 _MASK64 = (1 << 64) - 1
 # memory budget of an ensemble: p * n * replicates matrix cells
@@ -226,7 +229,8 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
     def worker(r: int):
         try:
             return _one_replicate(config, r)
-        except EigensolverError:
+        except EigensolverError as exc:
+            log.warning("replicate %d failed: %s", r, exc)
             return None
 
     if config.jobs > 1:

@@ -233,6 +233,16 @@ class TestGram:
         g = gram(m)
         assert abs(np.trace(g) - np.sum(m * m) / 6.0) <= 1e-12 * np.sum(m * m)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(7, 3), (128, 128), (96, 200)])
+    def test_exactly_symmetric(self, layout, shape):
+        # gram has no symmetrizing pass: numpy's M M^T must mirror one triangle
+        p, n = shape
+        m = np.random.default_rng(8).standard_normal((2 * p, 3 * n))
+        m = {"C": m[:p, :n].copy(), "F": np.asfortranarray(m[:p, :n]), "strided": m[::2, ::3]}[layout]
+        g = gram(m)
+        np.testing.assert_array_equal(g, g.T)
+
     def test_gram_eigenvalues_nonnegative(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((32, 48))

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from lpspec.lsd import DEFAULT_VARIANT, LsdSolution, lsd_cdf
 from lpspec.spectra import (
     EmpiricalCdf,
     EmpiricalSpectrum,
@@ -108,6 +112,33 @@ class TestEmpiricalStieltjes:
             empirical_stieltjes(spec, 1.0 - 1j)
 
 
+def tabulated(grid, cdf_values, atom=0.0):
+    """Piecewise-linear CDF of a solved law with the given grid and CDF table."""
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(cdf_values, dtype=float)
+    return lsd_cdf(LsdSolution(1.0, DEFAULT_VARIANT, grid, np.zeros_like(grid), values, atom,
+                               (float(grid[0]), float(grid[-1])), float(values[-1] - atom)))
+
+
+# G(x) = x on [0, 1]: the law of one knot at 1 with no atom
+UNIFORM = tabulated([1.0], [1.0])
+
+# a sample against a piecewise-linear CDF that need not end at 1, as the
+# laws of wrong equation variants do not
+sample_vs_law = st.tuples(
+    st.lists(st.floats(-0.5, 4.0), min_size=1, max_size=20),
+    st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 0.3)), min_size=1, max_size=12),
+    st.floats(0.0, 0.6),
+)
+
+
+def no_warning(fn, *args):
+    """fn(*args), with any warning (numpy's divide and invalid among them) an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
 def brute_force_ks(a, b):
     """Oracle: sup over a fine grid plus both sample sets, from both sides."""
     fa, fb = EmpiricalCdf(a), EmpiricalCdf(b)
@@ -153,6 +184,23 @@ class TestKsDistance:
             assert abs(ks_distance(EmpiricalCdf(a), EmpiricalCdf(b)) - brute_force_ks(a, b)) <= 1e-12
 
 
+    def test_sample_vs_uniform(self):
+        assert ks_distance(EmpiricalCdf([0.25, 0.75]), UNIFORM) == 0.25
+
+    @given(sample_vs_law)
+    @settings(max_examples=60, deadline=None)
+    def test_sample_vs_piecewise_linear(self, case):
+        sample, cells, atom = case
+        knots = np.cumsum([h for h, _ in cells])
+        f, g = EmpiricalCdf(sample), tabulated(knots, atom + np.cumsum([m for _, m in cells]), atom)
+        # F - G is linear between the knots of either CDF: its supremum is at a
+        # knot, approached from the right (the knot) or the left (the float below)
+        xs = np.union1d(f.breakpoints(), g.breakpoints())
+        probes = np.concatenate([xs, np.nextafter(xs, -np.inf)])
+        brute = float(np.max(np.abs(f.cdf(probes) - g.cdf(probes))))
+        assert abs(ks_distance(f, g) - brute) <= 1e-12
+
+
 class TestWasserstein:
     def test_identical(self):
         f = EmpiricalCdf([0.0, 1.0])
@@ -171,6 +219,33 @@ class TestWasserstein:
         a = rng.uniform(0, 1, 16)
         got = wasserstein1(EmpiricalCdf(a), EmpiricalCdf(a + 0.25))
         assert abs(got - 0.25) <= 1e-12
+
+    def test_sample_vs_uniform(self):
+        # |F - x| is a triangle of area 1/32 on each quarter of [0, 1]; every
+        # cell changes sign, which a midpoint rule gets wrong
+        got = no_warning(wasserstein1, EmpiricalCdf([0.25, 0.75]), UNIFORM)
+        assert abs(got - 0.125) <= 1e-15
+
+    def test_identical_piecewise_linear(self):
+        g = tabulated([0.5, 1.0, 2.0], [0.4, 0.8, 1.0], atom=0.2)
+        assert no_warning(wasserstein1, g, g) == 0.0
+
+    @given(sample_vs_law)
+    @settings(max_examples=60, deadline=None)
+    def test_sample_vs_piecewise_linear(self, case):
+        sample, cells, atom = case
+        knots = np.cumsum([h for h, _ in cells])
+        f, g = EmpiricalCdf(sample), tabulated(knots, atom + np.cumsum([m for _, m in cells]), atom)
+        got = no_warning(wasserstein1, f, g)
+        # reference: adaptive quadrature of |F - G| over each cell between knots
+        xs = np.union1d(f.breakpoints(), g.breakpoints())
+        total = error = 0.0
+        for lo, hi in zip(xs[:-1], xs[1:]):
+            value, err = integrate.quad(lambda x: abs(float(f.cdf(x)) - float(g.cdf(x))), lo, hi,
+                                        epsabs=1e-13, epsrel=0.0, limit=200)
+            total += value
+            error += err
+        assert abs(got - total) <= error + 1e-12
 
 
 def test_spectrum_validation():

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestRunEnsemble:
             wins += pooled <= single
         assert wins >= 4
 
-    def test_failed_replicate_recorded(self, monkeypatch):
+    def test_failed_replicate_recorded(self, monkeypatch, caplog):
         import lpspec.verify as verify_mod
 
         real = verify_mod.sym_eigenvalues
@@ -126,9 +127,11 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(verify_mod, "sym_eigenvalues", flaky)
         cfg = EnsembleConfig(model=WHITE, p=8, n=8, replicates=3, base_seed=1)
-        rep = run_ensemble(cfg, candidates={})
+        with caplog.at_level(logging.WARNING, logger="lpspec.verify"):
+            rep = run_ensemble(cfg, candidates={})
         assert rep.failed_replicates == (1,)
         assert len(rep.eigenvalues) == 2
+        assert [r.getMessage() for r in caplog.records] == ["replicate 1 failed: synthetic failure"]
 
     def test_pooled_spectrum_is_valid_cdf(self):
         cfg = EnsembleConfig(model=WHITE, p=16, n=16, replicates=3, base_seed=9)
