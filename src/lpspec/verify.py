@@ -6,13 +6,16 @@ empirical and solved spectra, the first-trace-moment identity, empirical
 adjudication of the equation variants, and convergence studies over growing
 matrix sizes.
 
-Per-replicate seeds derive from the base seed through a SplitMix64 avalanche
-of (base_seed XOR replicate_index), so the whole report is a pure function of
-its configuration.  Within one base seed the replicate streams never collide;
-across base seeds they can: replicate r of seed s is replicate r ^ s ^ t of
-seed t, so nearby seeds such as s and s + 1 share streams.  Replicates may run
-on a thread pool; assembly is an ordered reduction over replicate indices, so
-the worker count cannot change a single output byte.
+Per-replicate seeds derive from the base seed as
+splitmix64(splitmix64(base_seed) + replicate_index mod 2^64), so the whole
+report is a pure function of its configuration.  SplitMix64 is a bijection,
+so the replicates of one base seed never share a stream.  The base seed is
+mixed before the index is added, so nearby base seeds such as s and s + 1
+start their runs of replicates at unrelated points of the 64-bit range; two
+runs share a stream only if their starts lie within the replicate count of
+each other.  Replicates may run on a thread pool; assembly is an ordered
+reduction over replicate indices, so the worker count cannot change a single
+output byte.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ def splitmix64(value: int) -> int:
 
 
 def derive_seed(base_seed: int, replicate: int) -> int:
-    """Per-replicate stream seed: splitmix64(base_seed XOR replicate)."""
-    return splitmix64((int(base_seed) ^ int(replicate)) & _MASK64)
+    """Per-replicate stream seed: splitmix64(splitmix64(base_seed) + replicate)."""
+    return splitmix64((splitmix64(int(base_seed)) + int(replicate)) & _MASK64)
 
 
 class CalibrationError(RuntimeError):

@@ -31,6 +31,12 @@ class TestSeedMixing:
         seeds = {derive_seed(12345, r) for r in range(2000)}
         assert len(seeds) == 2000
 
+    def test_nearby_base_seeds_do_not_share_streams(self):
+        # base ^ replicate mixing gave only 256 seeds here: replicate r of
+        # seed s was replicate r ^ s ^ t of seed t
+        seeds = {derive_seed(10**6 + k, r) for k in range(8) for r in range(256)}
+        assert len(seeds) == 2048
+
     def test_pure_function(self):
         assert derive_seed(7, 3) == derive_seed(7, 3)
 
