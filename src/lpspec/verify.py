@@ -6,16 +6,13 @@ empirical and solved spectra, the first-trace-moment identity, empirical
 adjudication of the equation variants, and convergence studies over growing
 matrix sizes.
 
-Per-replicate seeds derive from the base seed as
-splitmix64(splitmix64(base_seed) + replicate_index mod 2^64), so the whole
-report is a pure function of its configuration.  SplitMix64 is a bijection,
-so the replicates of one base seed never share a stream.  The base seed is
-mixed before the index is added, so nearby base seeds such as s and s + 1
-start their runs of replicates at unrelated points of the 64-bit range; two
-runs share a stream only if their starts lie within the replicate count of
-each other.  Replicates may run on a thread pool; assembly is an ordered
-reduction over replicate indices, so the worker count cannot change a single
-output byte.
+Per-replicate seeds are splitmix64(splitmix64(base_seed) + replicate_index
+mod 2^64), so the whole report is a pure function of its configuration.  The
+replicates of one base seed never share a stream, and mixing the base seed
+before adding the index starts nearby base seeds such as s and s + 1 at
+unrelated points of the 64-bit range, not on each other's streams.  Replicates
+may run on a thread pool; assembly is an ordered reduction over replicate
+indices, so the worker count cannot change a single output byte.
 """
 
 from __future__ import annotations

@@ -132,6 +132,13 @@ sample_vs_law = st.tuples(
 )
 
 
+def sample_and_law(case):
+    """The step CDF and the piecewise-linear CDF of a `sample_vs_law` case."""
+    sample, cells, atom = case
+    knots = np.cumsum([h for h, _ in cells])
+    return EmpiricalCdf(sample), tabulated(knots, atom + np.cumsum([m for _, m in cells]), atom)
+
+
 def no_warning(fn, *args):
     """fn(*args), with any warning (numpy's divide and invalid among them) an error."""
     with warnings.catch_warnings():
@@ -183,16 +190,13 @@ class TestKsDistance:
             b = rng.standard_normal(9)
             assert abs(ks_distance(EmpiricalCdf(a), EmpiricalCdf(b)) - brute_force_ks(a, b)) <= 1e-12
 
-
     def test_sample_vs_uniform(self):
         assert ks_distance(EmpiricalCdf([0.25, 0.75]), UNIFORM) == 0.25
 
     @given(sample_vs_law)
     @settings(max_examples=60, deadline=None)
     def test_sample_vs_piecewise_linear(self, case):
-        sample, cells, atom = case
-        knots = np.cumsum([h for h, _ in cells])
-        f, g = EmpiricalCdf(sample), tabulated(knots, atom + np.cumsum([m for _, m in cells]), atom)
+        f, g = sample_and_law(case)
         # F - G is linear between the knots of either CDF: its supremum is at a
         # knot, approached from the right (the knot) or the left (the float below)
         xs = np.union1d(f.breakpoints(), g.breakpoints())
@@ -233,9 +237,7 @@ class TestWasserstein:
     @given(sample_vs_law)
     @settings(max_examples=60, deadline=None)
     def test_sample_vs_piecewise_linear(self, case):
-        sample, cells, atom = case
-        knots = np.cumsum([h for h, _ in cells])
-        f, g = EmpiricalCdf(sample), tabulated(knots, atom + np.cumsum([m for _, m in cells]), atom)
+        f, g = sample_and_law(case)
         got = no_warning(wasserstein1, f, g)
         # reference: adaptive quadrature of |F - G| over each cell between knots
         xs = np.union1d(f.breakpoints(), g.breakpoints())
