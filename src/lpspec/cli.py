@@ -92,8 +92,9 @@ class ConfigError(ValueError):
 
 
 def _check_type(value, kind: type, what: str) -> None:
-    """Reject a JSON value of the wrong type; integers count as numbers."""
-    if not isinstance(value, (int, float) if kind is float else kind):
+    """Reject a JSON value of the wrong type; integers count as numbers and
+    booleans as neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{what} must be {_KIND_NAMES[kind]}")
 
 
@@ -104,8 +105,22 @@ def _converted(cfg: dict, key: str, convert, what: str):
         raise ConfigError(f"key {key!r} must be {what}") from None
 
 
+def _number(value) -> float:
+    """A number or a numeric string as a float; a boolean is no number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integer, an integral number or an integer string as an int."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _int_list(values) -> list[int]:
-    return [int(v) for v in values]
+    return [_integer(v) for v in values]
 
 
 def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
@@ -176,14 +191,14 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
     # null means "not given" only for keys without a default
     for key in ("p", "n", "replicates", "jobs", "grid_points", "seed", "horizon"):
         if key in cfg and (cfg[key] is not None or key in _DEFAULTS):
-            cfg[key] = _converted(cfg, key, int, "an integer")
+            cfg[key] = _converted(cfg, key, _integer, "an integer")
             if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
                 raise ConfigError(f"key {key!r} must be at least {_MINIMUM[key]}")
     extra = 2 if command == "calibrate" and cfg.get("seeds") is None else 0  # seed + 1, seed + 2
     if cfg["seed"] >= _SEED_LIMIT - extra:
         raise ConfigError(f"key 'seed' must be below 2**64{' - 2 for calibrate' if extra else ''}")
     if cfg.get("y") is not None:
-        cfg["y"] = _converted(cfg, "y", float, "a number")
+        cfg["y"] = _converted(cfg, "y", _number, "a number")
         if cfg["y"] <= 0:
             raise ConfigError("key 'y' must be positive")
     if "tail_tol" in cfg:

@@ -29,6 +29,11 @@ opens a support interval and a local minimum closes one: phi falls through 1
 once above the largest t_j (the upper edge), rises to r * share(f > 0) at
 v = 0 below the smallest (the lower edge; a hard edge at 0 if that is 1), and
 dips below 1 twice or never between neighbours (an inner gap).
+
+`solve_lsd` makes one pass per support interval [a, b]: it builds nodes
+graded in sqrt(x) by the cosine of an angle theta in [0, pi], follows the
+root down them from the square-root expansion at b, and integrates the CDF
+in the same theta.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ __all__ = [
     "NumericalError",
     "SolverConfig",
     "all_variants",
-    "default_grid",
     "lsd_cdf",
     "marchenko_pastur",
     "quadrature_integral",
@@ -335,11 +339,9 @@ def _support(t: np.ndarray, w: np.ndarray, share: float, scale: float) -> list[_
     return [_Interval(*map(float, row)) for row in rows]
 
 
-def _graded_grid(intervals: list[_Interval], points: int) -> np.ndarray:
-    """`points` points over the support intervals, cosine-graded in sqrt(x):
-    (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally spaced
-    theta in [0, pi], edges included but a hard edge at 0.  Each interval gets
-    _MIN_INTERVAL_POINTS (at most half the grid in all), the rest by weight."""
+def _grid_sizes(intervals: list[_Interval], points: int) -> np.ndarray:
+    """Grid points per support interval: _MIN_INTERVAL_POINTS each (at most
+    half the grid in all), the rest by weight, the remainder to the heaviest."""
     count = len(intervals)
     floor = min(_MIN_INTERVAL_POINTS, max(3, points // (2 * count)))
     if count * floor > points:
@@ -348,57 +350,36 @@ def _graded_grid(intervals: list[_Interval], points: int) -> np.ndarray:
     weights = np.array([iv.weight for iv in intervals])
     sizes = floor + ((points - count * floor) * weights / weights.sum()).astype(int)
     sizes[np.argmax(weights)] += points - sizes.sum()
-    parts = []
-    for iv, n in zip(intervals, sizes):
-        hard = iv.a == 0.0
-        theta = np.arange(hard, n + hard) * (math.pi / (n - 1 + hard))
-        ra, rb = math.sqrt(iv.a), math.sqrt(iv.b)
-        nodes = (ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))) ** 2
-        nodes[0], nodes[-1] = nodes[0] if hard else iv.a, iv.b
-        parts.append(nodes)
-    return np.concatenate(parts)
+    return sizes
 
 
-def default_grid(f, y: float, variant: EquationVariant = DEFAULT_VARIANT,
-                 points: int = 1024, config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """`points` points over the law's support intervals (`_graded_grid`)."""
-    t, w, share = _population(f, config)
-    return _graded_grid(_support(t, w, share, variant.scale(y)), points)
-
-
-def _density_profile(t, w, scale: float, xs: np.ndarray, intervals: list[_Interval]) -> np.ndarray:
-    """Solved transform at each grid point, zero outside the support, by
-    following the root down each support interval from its right edge."""
-    u = np.zeros(xs.size, dtype=complex)
-    for iv in intervals:
-        x_done, s, deriv = complex(iv.b), complex(iv.s_b), None
-        for i in np.flatnonzero((xs > iv.a) & (xs < iv.b))[::-1]:
-            x = complex(xs[i])
-            try:
-                s, deriv = _follow(t, w, scale, x_done, s, deriv, x, iv.curvature)
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"density: solve failed at x = {x.real!r}: {exc}",
-                                       z=x, residual=exc.residual) from exc
-            x_done, u[i] = x, s
-    return u
-
-
-def _cumulative_mass(xs: np.ndarray, rho: np.ndarray, intervals: list[_Interval]) -> np.ndarray:
-    """Continuous mass below each grid point: per support interval, the
-    trapezoid rule in the angle theta of `_graded_grid` over the grid points
-    and the edges, where rho dx/dtheta is smooth and vanishes at every edge."""
-    edges = np.array([(iv.a, iv.b) for iv in intervals])
-    nodes = np.union1d(xs, edges)
-    at = np.searchsorted(nodes, xs)
-    dens = np.zeros(nodes.size)
-    dens[at] = rho
-    k = np.maximum(np.searchsorted(edges[:, 0], nodes, side="right") - 1, 0)
-    ra, rb, rx = np.sqrt(edges[k, 0]), np.sqrt(edges[k, 1]), np.sqrt(nodes)
-    theta = np.arccos(np.clip((ra + rb - 2.0 * rx) / (rb - ra), -1.0, 1.0))
-    g = dens * 2.0 * rx * np.sqrt(np.clip((rx - ra) * (rb - rx), 0.0, None))  # rho dx/dtheta
-    same = (k[1:] == k[:-1]) & (rx[:-1] >= ra[:-1]) & (rx[1:] <= rb[1:])
-    cells = np.where(same, 0.5 * (g[1:] + g[:-1]) * np.diff(theta), 0.0)
-    return np.concatenate([[0.0], np.cumsum(cells)])[at]
+def _interval_pass(t, w, scale: float, y: float, variant: EquationVariant, iv: _Interval, n: int):
+    """Grid, density and continuous mass of one support interval [a, b]: n
+    nodes (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally
+    spaced theta in [0, pi], edges included but a hard edge at 0; the root
+    followed down them from b; the trapezoid rule in theta, where rho dx/dtheta
+    is smooth and vanishes at both edges."""
+    hard = iv.a == 0.0
+    theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
+    ra, rb = math.sqrt(iv.a), math.sqrt(iv.b)
+    rx = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))
+    xs = rx**2
+    xs[0], xs[-1] = iv.a, iv.b
+    u = np.zeros(xs.size - 2, dtype=complex)
+    x_done, s, deriv = complex(iv.b), complex(iv.s_b), None
+    for i in range(xs.size - 2, 0, -1):
+        x = complex(xs[i])
+        try:
+            s, deriv = _follow(t, w, scale, x_done, s, deriv, x, iv.curvature)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"density: solve failed at x = {x.real!r}: {exc}",
+                                   z=x, residual=exc.residual) from exc
+        x_done, u[i - 1] = x, s
+    rho = np.zeros(xs.size)
+    rho[1:-1] = np.imag(_to_direct(u, xs[1:-1], y, variant)) / math.pi
+    g = rho * rx * (rb - ra) * np.sin(theta)  # rho dx/dtheta
+    mass = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta))])
+    return xs[hard:], rho[hard:], mass[hard:]
 
 
 @dataclass(frozen=True)
@@ -432,32 +413,30 @@ class LsdSolution:
                    float(doc["atom"]), support, float(doc["density_mass"]))
 
 
-def solve_lsd(f, y: float, x_grid=None, variant: EquationVariant = DEFAULT_VARIANT,
+def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
               config: SolverConfig = DEFAULT_CONFIG, grid_points: int = 1024) -> LsdSolution:
     """Full solve: support edges, density on a grid, atom at zero and CDF.
 
-    The atom is exact, and nothing is clipped or renormalized: 1 - mass() is
-    the quadrature error of the density.  The support is the hull of the
-    support intervals.
+    The grid is `grid_points` nodes over the support intervals, one pass
+    (`_interval_pass`) per interval.  The atom is exact, and nothing is
+    clipped or renormalized: 1 - mass() is the quadrature error of the
+    density.  The support is the hull of the support intervals.
     """
     if y <= 0:
         raise ValueError("aspect ratio y must be positive")
     t, w, share = _population(f, config)
     scale = variant.scale(y)
     intervals = _support(t, w, share, scale)
-    if x_grid is None:
-        xs = _graded_grid(intervals, grid_points)
-    else:
-        xs = np.asarray(x_grid, dtype=float)
-        if xs.ndim != 1 or xs.size < 1 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-            raise ValueError("x_grid must be a non-empty, strictly increasing, positive 1-d array")
-    u = _density_profile(t, w, scale, xs, intervals)
-    rho = np.imag(_to_direct(u, xs, y, variant)) / math.pi
-    cumulative = _cumulative_mass(xs, rho, intervals)
+    parts, below = [], 0.0  # below: the mass of the intervals done
+    for iv, n in zip(intervals, _grid_sizes(intervals, grid_points)):
+        xs, rho, mass = _interval_pass(t, w, scale, y, variant, iv, n)
+        parts.append((xs, rho, below + mass))
+        below += mass[-1]
+    xs, rho, cumulative = (np.concatenate(part) for part in zip(*parts))
     # the atom is -z s(z) as z -> 0, so the role's map sends u ~ -atom/z along
     atom = float(-_to_direct(-max(0.0, 1.0 - scale * share), 1.0, y, variant))
     return LsdSolution(float(y), variant, xs, rho, atom + cumulative, atom,
-                       (intervals[0].a, intervals[-1].b), float(cumulative[-1]))
+                       (intervals[0].a, intervals[-1].b), float(below))
 
 
 class _TabulatedCdf:

@@ -200,11 +200,15 @@ def _model_param(doc: dict, key: str, many: bool, default=None):
             raise ValueError(f"model: missing key {key!r}")
         return default
     try:
-        return tuple(float(v) for v in doc[key]) if many else float(doc[key])
+        values = tuple(doc[key]) if many else (doc[key],)
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError("a boolean is not a number")
+        values = tuple(float(v) for v in values)
     except (TypeError, ValueError):
         raise ValueError(
             f"model: key {key!r} must be {'a list of numbers' if many else 'a number'}"
         ) from None
+    return values if many else values[0]
 
 
 def _noncausal_roots(phi) -> list[complex]:

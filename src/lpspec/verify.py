@@ -255,7 +255,7 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
         per_ks.append({label: ks_distance(ecdf, law) for label, law in candidates.items()})
         per_w1.append({label: wasserstein1(ecdf, law) for label, law in candidates.items()})
     if not eigenvalues:
-        raise EigensolverError("all replicates failed")
+        raise EigensolverError(f"eigensolve: all {config.replicates} replicates failed")
     pooled = EmpiricalCdf(np.concatenate(eigenvalues))
     pooled_ks = {label: ks_distance(pooled, law) for label, law in candidates.items()}
     pooled_w1 = {label: wasserstein1(pooled, law) for label, law in candidates.items()}

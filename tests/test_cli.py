@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lpspec.cli import ConfigError, parse_config, run
+from lpspec.spectra import EigensolverError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -106,6 +107,30 @@ WHITE = {"kind": "white_noise"}
         ({"command": "calibrate", "p": 8, "n": 16, "seeds": [-1]}, "'seeds'"),
         # calibrate without seeds also runs seed + 1 and seed + 2
         ({"command": "calibrate", "p": 8, "n": 16, "seed": 2**64 - 2}, "'seed'"),
+        # a boolean is no number
+        ({"command": "solve", "model": WHITE, "y": True}, "'y'"),
+        ({"command": "compare", "model": WHITE, "p": True, "n": 8}, "'p'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "seed": True}, "'seed'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": True}, "'grid_points'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "jobs": False}, "'jobs'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "horizon": True}, "'horizon'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "tail_tol": True}, "'tail_tol'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "solver": {"quadrature_points": True}},
+         "'quadrature_points'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": [True, 16]}, "'sizes'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": [True]}, "'seeds'"),
+        ({"command": "solve", "model": {"kind": "ma", "theta": [True]}, "y": 1.0}, "'theta'"),
+        ({"command": "solve", "model": {"kind": "ar1", "phi": True}, "y": 1.0}, "'phi'"),
+        # a fraction is no integer
+        ({"command": "compare", "model": WHITE, "p": 8.9, "n": 8}, "'p'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8.5}, "'n'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "replicates": 2.5}, "'replicates'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "jobs": 1.5}, "'jobs'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 64.5}, "'grid_points'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "seed": 1.5}, "'seed'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "horizon": 16.5}, "'horizon'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": [8.7, 16]}, "'sizes'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": [1, 2.5]}, "'seeds'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -116,6 +141,13 @@ def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
         assert run(argv) == 2
     assert any(key in rec.getMessage() for rec in caplog.records)
     assert not (tmp_path / "run").exists()
+
+
+def test_integral_numbers_and_numeric_strings_still_parse(tmp_path):
+    doc = {"command": "calibrate", "p": "8", "n": 16.0, "seeds": ["11", 12, 13.0]}
+    cfg = parse_config(write_config(tmp_path, doc), {})
+    assert (cfg["p"], cfg["n"]) == (8, 16)
+    assert cfg["seeds"] == ["11", 12, 13.0]  # echoed as given
 
 
 # the keys each command reads besides command, seed, jobs and out; the
@@ -340,6 +372,25 @@ class TestCompareCommand:
         assert d1 == d4
 
 
+    def test_eigensolver_failure_exit_code(self, tmp_path, monkeypatch, caplog):
+        from lpspec import verify
+
+        def failing(matrix):
+            raise EigensolverError("synthetic failure")
+
+        monkeypatch.setattr(verify, "sym_eigenvalues", failing)
+        out = tmp_path / "run"
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run([
+                "compare", "--p", "16", "--n", "16", "--replicates", "2", "--out", str(out),
+                "--config", write_config(tmp_path, {"command": "compare", "model": {"kind": "white_noise"}}),
+            ])
+        assert code == 3
+        assert not out.exists() or not any(out.iterdir())
+        message = " ".join(rec.getMessage() for rec in caplog.records if rec.name == "lpspec.cli")
+        assert "eigensolve: all 2 replicates failed" in message
+
+
 class TestStudyCommand:
     def test_trend_rows(self, tmp_path):
         out = tmp_path / "run"
@@ -424,6 +475,19 @@ class TestCalibrateCommand:
             "--config", write_config(tmp_path, {"command": "calibrate"}),
         ])
         assert code == 2
+
+    def test_ambiguous_calibration_exit_code(self, tmp_path, caplog):
+        # at p = 4, n = 8 one replicate cannot tell the variants apart
+        out = tmp_path / "run"
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run([
+                "calibrate", "--p", "4", "--n", "8", "--replicates", "1", "--out", str(out),
+                "--config", write_config(tmp_path, {"command": "calibrate"}),
+            ])
+        assert code == 3
+        assert not out.exists() or not any(out.iterdir())
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert "ambiguous calibration at seed 0" in message
 
     def test_small_calibration_run(self, tmp_path):
         out = tmp_path / "run"

@@ -13,7 +13,6 @@ from lpspec.lsd import (
     LsdSolution,
     SolverConfig,
     all_variants,
-    default_grid,
     lsd_cdf,
     marchenko_pastur,
     quadrature_integral,
@@ -140,23 +139,19 @@ class TestSolveStieltjes:
 
 
 class TestDensity:
-    @staticmethod
-    def density(f, y, xs):
-        return solve_lsd(f, y, x_grid=np.array(xs)).density
-
     def test_mp1_bulk_value(self):
-        rho = self.density(FLAT, 1.0, [2.0])
-        assert abs(rho[0] - 1.0 / (2.0 * np.pi)) <= 1e-6
+        # every node the march solves, the one next to the hard edge at y = 1
+        # included; the edge nodes hold an exact 0
+        for y in (0.5, 1.0, 2.0):
+            sol = solve_lsd(FLAT, y)
+            inside = (sol.grid > sol.support[0]) & (sol.grid < sol.support[1])
+            exact = marchenko_pastur(y, 1.0 / y).density(sol.grid[inside])
+            np.testing.assert_allclose(sol.density[inside], exact, rtol=1e-8, atol=0.0)
 
-    def test_outside_support(self):
-        assert self.density(FLAT, 1.0, [100.0])[0] <= 1e-6
-        assert self.density(FLAT, 1.0, [4.5])[0] <= 1e-4
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            self.density(FLAT, 1.0, [2.0, 1.0])
-        with pytest.raises(ValueError):
-            self.density(FLAT, 1.0, [-1.0, 1.0])
+    def test_options_are_keyword_only(self):
+        # the third positional slot once took a grid
+        with pytest.raises(TypeError, match="positional"):
+            solve_lsd(FLAT, 1.0, DEFAULT_VARIANT)
 
 
 class TestMarchenkoPastur:
@@ -325,13 +320,14 @@ class TestSolveLsd:
         assert np.all(np.diff(sol.cdf_values) >= 0.0)
 
     def test_default_grid_properties(self):
-        grid = default_grid(FLAT, 1.0, points=128)
+        grid = solve_lsd(FLAT, 1.0, grid_points=128).grid
         assert grid.size == 128
         assert np.all(np.diff(grid) > 0)
         # the hard edge at 0 stays off the grid; the upper edge is its last point
         assert grid[0] > 0.0
         assert abs(grid[-1] - 4.0) <= 1e-12
-        assert default_grid(FLAT, 2.0, points=128)[0] == solve_lsd(FLAT, 2.0, grid_points=128).support[0]
+        sol = solve_lsd(FLAT, 2.0, grid_points=128)
+        assert sol.grid[0] == sol.support[0]
 
     def test_json_round_trip(self, mp1_solution):
         doc = json.loads(json.dumps(mp1_solution.to_json()))
@@ -375,3 +371,30 @@ def test_spectra_with_zeros_split_the_law_at_y_above_one(doc, tail_tol):
     assert abs(sol.atom_at_zero + sol.density_mass - 1.0) <= 1e-3
     assert np.all(np.diff(sol.cdf_values) >= 0.0)
     assert np.count_nonzero(sol.density[1:-1] == 0.0) >= 2  # at least one inner gap
+
+
+# inverse AR roots: real ones, or one conjugate pair, of modulus 0.05 to 0.95
+_MODULUS = st.floats(0.05, 0.95)
+_AR_ROOTS = st.one_of(
+    st.lists(st.tuples(_MODULUS, st.sampled_from([-1.0, 1.0])).map(lambda r: r[0] * r[1]),
+             max_size=2),
+    st.tuples(_MODULUS, st.floats(0.0, math.pi)).map(
+        lambda r: [r[0] * np.exp(1j * r[1]), r[0] * np.exp(-1j * r[1])]),
+)
+
+
+@given(roots=_AR_ROOTS, theta=st.lists(st.floats(-1.5, 1.5), max_size=2),
+       y=st.floats(math.log(0.1), math.log(10.0)).map(math.exp))
+@settings(max_examples=20, deadline=None)
+def test_random_causal_arma_laws_are_laws(roots, theta, y):
+    # 1 - phi_1 z - phi_2 z^2 = prod (1 - root z)
+    phi = [float(-c) for c in np.real(np.poly(roots))[1:]] if roots else []
+    f = model_density({"kind": "arma", "phi": phi, "theta": theta})
+    sol = solve_lsd(f, y)
+    samples = f(np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
+    share = np.count_nonzero(samples > np.finfo(float).eps * samples.max()) / samples.size
+    assert sol.atom_at_zero == max(0.0, 1.0 - (1.0 / y) * share)
+    assert abs(sol.mass() - 1.0) <= 1e-3
+    assert np.all(np.diff(sol.grid) > 0.0)
+    assert np.all(sol.density >= 0.0)
+    assert np.all(np.diff(sol.cdf_values) >= 0.0)
