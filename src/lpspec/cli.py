@@ -203,6 +203,8 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             raise ConfigError("key 'y' must be positive")
     if "tail_tol" in cfg:
         _check_type(cfg["tail_tol"], float, "key 'tail_tol'")
+    if not isinstance(cfg.get("dump_eigenvalues", False), bool):
+        raise ConfigError("key 'dump_eigenvalues' must be a boolean")
     if cfg.get("sizes") is not None:
         cfg["sizes"] = _converted(cfg, "sizes", _int_list, "a list of integers")
     if cfg.get("seeds") is not None:

@@ -366,9 +366,9 @@ def draw_innovations(spec: InnovationSpec, count: int) -> np.ndarray:
 class ProcessSpec:
     """Simulatable process: coefficient model, innovations, truncation horizon.
 
-    For infinite-order models the constructor enforces the tail-energy bound
-    ``sum_{j>J} c_j^2 <= tail_tol * sum_j c_j^2``; slowly decaying models
-    (fractional ones in particular) need an explicitly relaxed `tail_tol`.
+    The constructor requires J >= the order of a finite-order model and, for
+    infinite-order models, ``sum_{j>J} c_j^2 <= tail_tol * sum_j c_j^2``;
+    slowly decaying (fractional) models need an explicitly relaxed `tail_tol`.
     """
 
     model: CoefficientModel
@@ -381,13 +381,17 @@ class ProcessSpec:
             raise ValueError("horizon must be non-negative")
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError("tail_tol must lie in (0, 1)")
-        if self.model.finite_order is None:
+        order = self.model.finite_order
+        if order is None:
             ratio = tail_energy(self.model, self.horizon) / total_energy(self.model)
             if ratio > self.tail_tol:
                 raise ValueError(
                     f"tail energy ratio {ratio:.3e} at horizon {self.horizon} exceeds "
                     f"tail_tol {self.tail_tol:g} for {self.model.label()}"
                 )
+        elif self.horizon < order:
+            raise ValueError(f"horizon {self.horizon} is below the order {order} of "
+                             f"{self.model.label()}")
 
     def coefficient_array(self) -> np.ndarray:
         return coefficients(self.model, self.horizon + 1)

@@ -208,11 +208,12 @@ def _one_replicate(config: EnsembleConfig, replicate: int):
     spec = config.replicate_spec(replicate)
     record = simulate_record(spec, config.shape.cells)
     x = segment_matrix(record, config.shape)
-    trace_stat = float(np.sum(x * x)) / (config.p * config.p)
-    evs = sym_eigenvalues(gram(x)).eigenvalues
-    # Gram spectra are nonnegative; for p > n the exact-zero eigenvalues come
-    # back as +-1e-16 rounding noise that would smear the atom at zero
-    evs = np.where(np.abs(evs) <= 1e-10 * max(1.0, float(evs[-1])), 0.0, evs)
+    p, n = config.p, config.n
+    trace_stat = float(np.sum(x * x)) / (p * p)
+    if p <= n:
+        evs = sym_eigenvalues(gram(x)).eigenvalues
+    else:  # XX^T/p: the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
+        evs = np.concatenate([np.zeros(p - n), sym_eigenvalues(gram(x.T)).eigenvalues * (n / p)])
     return np.clip(evs, 0.0, None), trace_stat
 
 

@@ -131,6 +131,11 @@ WHITE = {"kind": "white_noise"}
         ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "horizon": 16.5}, "'horizon'"),
         ({"command": "study", "model": WHITE, "y": 1.0, "sizes": [8.7, 16]}, "'sizes'"),
         ({"command": "calibrate", "p": 8, "n": 16, "seeds": [1, 2.5]}, "'seeds'"),
+        # a flag is a JSON boolean, not a string or a number
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "dump_eigenvalues": "false"},
+         "'dump_eigenvalues'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "dump_eigenvalues": 0},
+         "'dump_eigenvalues'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -292,6 +297,16 @@ class TestSimulateCommand:
         last = esd[-1].split(",")
         assert float(last[1]) == 1.0
 
+    def test_p_rows_per_replicate_at_p_above_n(self, tmp_path):
+        # the n x n side gives n eigenvalues; the p - n exact zeros are written too
+        out = tmp_path / "run"
+        doc = {"command": "simulate", "model": {"kind": "ma", "theta": [0.5]},
+               "p": 24, "n": 10, "replicates": 2}
+        assert run(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "eigenvalues.csv").read_text().splitlines()[1:]]
+        assert [(rep, idx) for rep, idx, _ in rows] == [(str(r), str(i)) for r in range(2) for i in range(24)]
+        assert [float(lam) == 0.0 for _, _, lam in rows] == ([True] * 14 + [False] * 10) * 2
+
     def test_budget_exceeded_no_partial_files(self, tmp_path):
         out = tmp_path / "run"
         code = run([
@@ -370,6 +385,18 @@ class TestCompareCommand:
         d1["config"].pop("jobs")
         d4["config"].pop("jobs")
         assert d1 == d4
+
+    def test_horizon_below_model_order_exit_code(self, tmp_path, caplog):
+        # a horizon of 0 would simulate white noise against the MA(0.5) law
+        out = tmp_path / "run"
+        doc = {"command": "compare", "model": {"kind": "ma", "theta": [0.5]},
+               "p": 8, "n": 8, "horizon": 0}
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert "horizon 0 is below the order 1" in message
 
 
     def test_eigensolver_failure_exit_code(self, tmp_path, monkeypatch, caplog):

@@ -216,6 +216,15 @@ class TestHorizonAndTail:
         with pytest.raises(ValueError, match="tail"):
             ProcessSpec(CoefficientModel.ar1(0.9), InnovationSpec(), 4)
 
+    @pytest.mark.parametrize(
+        "model, order",
+        [(CoefficientModel.ma([0.5]), 1), (CoefficientModel.explicit([1.0, 0.5, 0.25, 0.0]), 2)],
+    )
+    def test_horizon_below_finite_order_rejected(self, model, order):
+        with pytest.raises(ValueError, match=f"horizon {order - 1} is below the order {order}"):
+            ProcessSpec(model, InnovationSpec(), order - 1)
+        assert ProcessSpec(model, InnovationSpec(), order).horizon == order
+
     def test_farima_needs_relaxed_tolerance(self):
         m = CoefficientModel.farima(-0.3)
         with pytest.raises(ValueError, match="tail_tol"):

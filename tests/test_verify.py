@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from lpspec.lsd import EquationVariant, SolverConfig, marchenko_pastur
-from lpspec.matrices import gram
+from lpspec.matrices import gram, segment_matrix
 from lpspec.process import CoefficientModel, InnovationSpec, ProcessSpec, simulate_record
 from lpspec.spectra import EigensolverError, EmpiricalSpectrum, ks_distance, sym_eigenvalues
 from lpspec.verify import (
     CalibrationError,
     EnsembleConfig,
     StudyResult,
+    _one_replicate,
     calibrate_equation_variant,
     convergence_study,
     derive_seed,
@@ -149,6 +150,36 @@ class TestRunEnsemble:
         vals = np.asarray(cdf.cdf(xs))
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] == 0.0 and vals[-1] == 1.0
+
+
+def replicate_matrix(config, replicate):
+    record = simulate_record(config.replicate_spec(replicate), config.shape.cells)
+    return segment_matrix(record, config.shape)
+
+
+class TestReplicateEigenvalues:
+    MA = CoefficientModel.ma([0.5])
+
+    @pytest.mark.parametrize("p, n", [(96, 40), (33, 32)])
+    def test_smaller_side_at_p_above_n(self, p, n):
+        config = EnsembleConfig(model=self.MA, p=p, n=n, replicates=2, base_seed=4)
+        evs, _ = _one_replicate(config, 1)
+        assert evs.shape == (p,)
+        assert np.all(np.diff(evs) >= 0)
+        assert np.all(evs[: p - n] == 0.0)
+        x = replicate_matrix(config, 1)
+        full = np.linalg.eigvalsh(x @ x.T / p)
+        np.testing.assert_allclose(evs[p - n :], full[p - n :], rtol=0, atol=1e-12 * full[-1])
+        assert evs[p - n] > 1e-12 * full[-1]
+
+    @pytest.mark.parametrize("p, n", [(40, 96), (32, 32)])
+    def test_full_gram_at_p_up_to_n(self, p, n):
+        config = EnsembleConfig(model=self.MA, p=p, n=n, replicates=2, base_seed=4)
+        evs, trace_stat = _one_replicate(config, 1)
+        x = replicate_matrix(config, 1)
+        expected = np.clip(sym_eigenvalues(gram(x)).eigenvalues, 0, None)
+        assert evs.tobytes() == expected.tobytes()
+        assert trace_stat == float(np.sum(x * x)) / (p * p)
 
 
 def pooled_cdf(model, seed, distribution="gaussian"):
