@@ -122,14 +122,11 @@ class CoefficientModel:
     @property
     def finite_order(self) -> int | None:
         """Largest non-zero coefficient index, or None for infinite order."""
-        if self.kind == "explicit":
-            c = np.asarray(self.coeffs)
-            nz = np.nonzero(c)[0]
-            return int(nz[-1]) if nz.size else 0
-        if self.kind == "farima":
-            return 0 if self.d == 0.0 else None
-        # rational: white noise, MA, AR(1), ARMA
-        return None if any(self.phi) else len(self.theta)
+        if (self.kind == "farima" and self.d != 0.0) or any(self.phi):
+            return None
+        # without an AR part the coefficients are the list or (1, theta_1, ...)
+        nz = np.nonzero(self.coeffs if self.kind == "explicit" else (1.0, *self.theta))[0]
+        return int(nz[-1])
 
     def label(self) -> str:
         if self.kind == "white_noise":

@@ -218,7 +218,8 @@ class TestHorizonAndTail:
 
     @pytest.mark.parametrize(
         "model, order",
-        [(CoefficientModel.ma([0.5]), 1), (CoefficientModel.explicit([1.0, 0.5, 0.25, 0.0]), 2)],
+        [(CoefficientModel.ma([0.5]), 1), (CoefficientModel.explicit([1.0, 0.5, 0.25, 0.0]), 2),
+         (CoefficientModel.ma([0.5, 0.0]), 1), (CoefficientModel.arma([0.0], [0.3, -0.2]), 2)],
     )
     def test_horizon_below_finite_order_rejected(self, model, order):
         with pytest.raises(ValueError, match=f"horizon {order - 1} is below the order {order}"):
