@@ -16,6 +16,7 @@ import argparse
 import datetime
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -199,8 +200,8 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
         raise ConfigError(f"key 'seed' must be below 2**64{' - 2 for calibrate' if extra else ''}")
     if cfg.get("y") is not None:
         cfg["y"] = _converted(cfg, "y", _number, "a number")
-        if cfg["y"] <= 0:
-            raise ConfigError("key 'y' must be positive")
+        if not 0.0 < cfg["y"] < math.inf:
+            raise ConfigError("key 'y' must be finite and positive")
     if "tail_tol" in cfg:
         _check_type(cfg["tail_tol"], float, "key 'tail_tol'")
     if not isinstance(cfg.get("dump_eigenvalues", False), bool):

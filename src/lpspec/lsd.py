@@ -12,13 +12,15 @@ are ambiguous:
 
 * normalization - whether the frequency integral carries a 1/(2pi);
 * ratio         - whether r uses y as printed or its inverse;
-* role          - whether the solved transform is the law itself or the
-                  companion transform of the swapped-dimension Gram matrix
-                  (related by the affine map s = (u + (1-r)/z) / r).
+* role          - whether the law is that of the p x p Gram matrix itself
+                  (direct) or of the swapped-dimension n x n one (companion).
 
-All eight combinations are implemented; the verification module adjudicates
-them empirically against white-noise Monte Carlo, where the law must reduce
-to the Marchenko-Pastur family.
+The role never enters the equation: the two Gram matrices share their nonzero
+spectrum, so the companion law is read off the solved direct law, with CDF
+1 - (1 - F)/r (`LsdSolution.in_role`).  All eight combinations are
+implemented; the verification module adjudicates them empirically against
+white-noise Monte Carlo, where the law must reduce to the Marchenko-Pastur
+family.
 
 The law is read off the explicit inverse z(s) = -1/s + r * mean(f/(1+fs))
 on the real axis (Silverstein & Choi, J. Multivariate Anal. 54, 1995), with
@@ -39,7 +41,7 @@ in the same theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -252,16 +254,16 @@ def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_
                     config: SolverConfig = DEFAULT_CONFIG, s0: complex | None = None) -> complex:
     """Value of the solved transform at one point z of the upper half-plane.
 
-    Returns the raw solution of the variant's equation, by Newton from `s0`
-    (or -1/z) or else by following the root down from high above z; for the
-    companion role the conversion to the law's own transform happens in the
-    density evaluation, not here.
+    Returns the root of the variant's equation, by Newton from `s0` (or
+    -1/z) or else by following the root down from high above z.  The role
+    does not enter the equation, so this is the transform of the direct-role
+    law whatever the variant's role.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("solve_stieltjes requires Im z > 0")
-    if y <= 0:
-        raise ValueError("aspect ratio y must be positive")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
     t, w, _ = _population(f, config)
     scale = variant.scale(y)
     try:
@@ -269,13 +271,6 @@ def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_
     except ConvergenceError:
         top = complex(z.real, max(z.imag, 4.0 * (abs(z) + (1.0 + scale) * t[-1])))
         return _follow(t, w, scale, top, *_newton(t, w, scale, top, -1.0 / top), z)[0]
-
-
-def _to_direct(u, z, y: float, variant: EquationVariant):
-    if variant.role == "direct":
-        return u
-    r = variant.effective_ratio(y)
-    return (u + (1.0 - r) / z) / r
 
 
 def _pole_sums(v: np.ndarray, t: np.ndarray, w: np.ndarray, scale: float, power: int) -> np.ndarray:
@@ -353,7 +348,7 @@ def _grid_sizes(intervals: list[_Interval], points: int) -> np.ndarray:
     return sizes
 
 
-def _interval_pass(t, w, scale: float, y: float, variant: EquationVariant, iv: _Interval, n: int):
+def _interval_pass(t, w, scale: float, iv: _Interval, n: int):
     """Grid, density and continuous mass of one support interval [a, b]: n
     nodes (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally
     spaced theta in [0, pi], edges included but a hard edge at 0; the root
@@ -376,7 +371,7 @@ def _interval_pass(t, w, scale: float, y: float, variant: EquationVariant, iv: _
                                    z=x, residual=exc.residual) from exc
         x_done, u[i - 1] = x, s
     rho = np.zeros(xs.size)
-    rho[1:-1] = np.imag(_to_direct(u, xs[1:-1], y, variant)) / math.pi
+    rho[1:-1] = np.imag(u) / math.pi
     g = rho * rx * (rb - ra) * np.sin(theta)  # rho dx/dtheta
     mass = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta))])
     return xs[hard:], rho[hard:], mass[hard:]
@@ -399,6 +394,20 @@ class LsdSolution:
         """Atom plus the density integrated over the support."""
         return self.atom_at_zero + self.density_mass
 
+    def in_role(self, role: str) -> "LsdSolution":
+        """This direct-role law read in `role`.  The companion law, of the
+        swapped-dimension Gram matrix, has CDF 1 - (1 - F)/r, r the effective
+        ratio, computed as (F - (1 - r))/r so that a direct atom 1 - r reads 0."""
+        variant = replace(self.variant, role=role)
+        if self.variant.role != "direct":
+            raise ValueError(f"a role is read off a direct-role law, not {self.variant.label}")
+        if role == "direct":
+            return self
+        r = variant.effective_ratio(self.y)
+        return LsdSolution(self.y, variant, self.grid, self.density / r,
+                           (self.cdf_values - (1.0 - r)) / r, (self.atom_at_zero - (1.0 - r)) / r,
+                           self.support, self.density_mass / r)
+
     def to_json(self) -> dict:
         return {"y": self.y, "variant": self.variant.label, "grid": self.grid.tolist(),
                 "density": self.density.tolist(), "cdf": self.cdf_values.tolist(),
@@ -420,23 +429,24 @@ def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
     The grid is `grid_points` nodes over the support intervals, one pass
     (`_interval_pass`) per interval.  The atom is exact, and nothing is
     clipped or renormalized: 1 - mass() is the quadrature error of the
-    density.  The support is the hull of the support intervals.
+    density.  The support is the hull of the support intervals.  The direct
+    law is solved and the variant's role read off it (`LsdSolution.in_role`).
     """
-    if y <= 0:
-        raise ValueError("aspect ratio y must be positive")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
     t, w, share = _population(f, config)
     scale = variant.scale(y)
     intervals = _support(t, w, share, scale)
     parts, below = [], 0.0  # below: the mass of the intervals done
     for iv, n in zip(intervals, _grid_sizes(intervals, grid_points)):
-        xs, rho, mass = _interval_pass(t, w, scale, y, variant, iv, n)
+        xs, rho, mass = _interval_pass(t, w, scale, iv, n)
         parts.append((xs, rho, below + mass))
         below += mass[-1]
     xs, rho, cumulative = (np.concatenate(part) for part in zip(*parts))
-    # the atom is -z s(z) as z -> 0, so the role's map sends u ~ -atom/z along
-    atom = float(-_to_direct(-max(0.0, 1.0 - scale * share), 1.0, y, variant))
-    return LsdSolution(float(y), variant, xs, rho, atom + cumulative, atom,
-                       (intervals[0].a, intervals[-1].b), float(below))
+    atom = float(max(0.0, 1.0 - scale * share))
+    direct = LsdSolution(float(y), replace(variant, role="direct"), xs, rho, atom + cumulative,
+                         atom, (intervals[0].a, intervals[-1].b), float(below))
+    return direct.in_role(variant.role)
 
 
 class _TabulatedCdf:

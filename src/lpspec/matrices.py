@@ -48,11 +48,11 @@ class MatrixShape:
 
 
 def segment_matrix(record, shape: MatrixShape) -> np.ndarray:
-    """Reshape one record of length p*n into p consecutive length-n segments."""
+    """The p consecutive length-n segments of a length-p*n record, as a view of it."""
     rec = np.asarray(record, dtype=float)
     if rec.ndim != 1 or rec.size != shape.cells:
         raise ValueError(f"record length {rec.size} does not match p*n = {shape.cells}")
-    return rec.reshape(shape.p, shape.n).copy()
+    return rec.reshape(shape.p, shape.n)
 
 
 def truncated_segment_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarray:

@@ -194,14 +194,16 @@ class EnsembleReport:
 
 
 def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
-    """Solved laws of the config's variants at ratio `y` (default: p/n)."""
+    """Solved laws of the config's variants at ratio `y` (default: p/n): one
+    solve per equation, each role read off the direct law."""
     f = spectral_density(config.replicate_spec(0))
     y = config.y if y is None else y
-    return {
-        v.label: lsd_cdf(solve_lsd(f, y, variant=v, config=config.solver,
-                                   grid_points=config.grid_points))
-        for v in config.variants
-    }
+    laws = {}
+    for equation in dict.fromkeys(replace(v, role="direct") for v in config.variants):
+        laws[equation] = solve_lsd(f, y, variant=equation, config=config.solver,
+                                   grid_points=config.grid_points)
+    return {v.label: lsd_cdf(laws[replace(v, role="direct")].in_role(v.role))
+            for v in config.variants}
 
 
 def _one_replicate(config: EnsembleConfig, replicate: int):
@@ -337,8 +339,9 @@ def calibrate_equation_variant(
 ) -> CalibrationVerdict:
     """Pick the equation variant that reproduces white-noise Monte Carlo.
 
-    Solves all eight variants once for the flat spectral density, runs one
-    white-noise ensemble per base seed, and requires that exactly one variant
+    Solves the four equations of the eight variants once each for the flat
+    spectral density and reads both roles off each law.  Runs one white-noise
+    ensemble per base seed, and requires that exactly one variant
     reaches pooled KS <= pass_threshold while every other stays >= 0.10,
     identically across seeds.  A confirmation ensemble with a dependent
     process, the first-order moving average MA(0.5), must also pass.

@@ -136,6 +136,12 @@ WHITE = {"kind": "white_noise"}
          "'dump_eigenvalues'"),
         ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "dump_eigenvalues": 0},
          "'dump_eigenvalues'"),
+        # a ratio is finite
+        ({"command": "solve", "model": WHITE, "y": math.nan}, "'y'"),
+        ({"command": "solve", "model": WHITE, "y": math.inf}, "'y'"),
+        ({"command": "solve", "model": WHITE, "y": "nan"}, "'y'"),
+        ({"command": "solve", "model": WHITE, "y": "1e400"}, "'y'"),
+        ({"command": "study", "model": WHITE, "y": math.nan, "sizes": [8, 16]}, "'y'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -145,6 +151,18 @@ def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
     with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
         assert run(argv) == 2
     assert any(key in rec.getMessage() for rec in caplog.records)
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_finite_y_literal_and_flag_exit_2_naming_key(tmp_path, caplog):
+    path = tmp_path / "config.json"
+    path.write_text('{"command": "solve", "model": {"kind": "white_noise"}, "y": 1e400}')
+    out = ["--out", str(tmp_path / "run")]
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run(["solve", "--config", str(path)] + out) == 2
+        path.write_text('{"command": "solve", "model": {"kind": "white_noise"}}')
+        assert run(["solve", "--config", str(path), "--y", "nan"] + out) == 2
+    assert sum("'y'" in rec.getMessage() for rec in caplog.records) == 2
     assert not (tmp_path / "run").exists()
 
 

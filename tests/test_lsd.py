@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -318,6 +319,44 @@ class TestSolveLsd:
         assert sol.atom_at_zero == max(0.0, 1.0 - 1.0 / y)
         assert abs(sol.mass() - 1.0) <= 1e-5
         assert np.all(np.diff(sol.cdf_values) >= 0.0)
+
+    @pytest.mark.parametrize("y", [0.1, 0.5, 2.0, 7.0])
+    def test_white_noise_companion_law_is_marchenko_pastur(self, y):
+        # the companion law is that of the n x n X^T X / p, Marchenko-Pastur
+        # at ratio n/p = 1/y and unit scale, with atom max(0, 1 - y)
+        variant = EquationVariant("normalized", "yinv", "companion")
+        sol = solve_lsd(FLAT, y, variant=variant, config=SolverConfig(quadrature_points=2))
+        mp = marchenko_pastur(1.0 / y, 1.0)
+        assert sol.variant == variant
+        assert ks_distance(lsd_cdf(sol), mp) <= 1e-5
+        assert abs(sol.atom_at_zero - max(0.0, 1.0 - y)) <= 1e-15
+        assert abs(sol.support[0] - mp.a) <= 1e-8 and abs(sol.support[1] - mp.b) <= 1e-8
+
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    def test_companion_role_is_read_off_the_direct_law(self, y):
+        config = SolverConfig(quadrature_points=64)
+        for variant in all_variants():
+            direct = solve_lsd(MA1, y, variant=replace(variant, role="direct"), config=config,
+                               grid_points=128)
+            want = direct.in_role(variant.role)
+            got = solve_lsd(MA1, y, variant=variant, config=config, grid_points=128)
+            assert got.variant == want.variant == variant
+            for field in ("grid", "density", "cdf_values"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            for field in ("atom_at_zero", "support", "density_mass"):
+                assert getattr(got, field) == getattr(want, field)
+            if variant.role == "companion":
+                with pytest.raises(ValueError, match="direct-role"):
+                    got.in_role("direct")
+        with pytest.raises(ValueError, match="role"):
+            direct.in_role("swapped")
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, 0.0, -1.0])
+    def test_ratio_must_be_finite_and_positive(self, y):
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_lsd(FLAT, y)
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_stieltjes(FLAT, y, 1j)
 
     def test_default_grid_properties(self):
         grid = solve_lsd(FLAT, 1.0, grid_points=128).grid

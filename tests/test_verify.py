@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from lpspec.lsd import EquationVariant, SolverConfig, marchenko_pastur
+from lpspec.lsd import EquationVariant, SolverConfig, all_variants, marchenko_pastur
 from lpspec.matrices import gram, segment_matrix
 from lpspec.process import CoefficientModel, InnovationSpec, ProcessSpec, simulate_record
 from lpspec.spectra import EigensolverError, EmpiricalSpectrum, ks_distance, sym_eigenvalues
@@ -12,6 +12,7 @@ from lpspec.verify import (
     CalibrationError,
     EnsembleConfig,
     StudyResult,
+    _candidate_cdfs,
     _one_replicate,
     calibrate_equation_variant,
     convergence_study,
@@ -283,6 +284,25 @@ class TestCalibration:
         assert verdict.confirmation["passed"]
         labels = {e["variant"] for e in verdict.evidence}
         assert len(labels) == 8
+
+    def test_one_solve_per_equation(self, monkeypatch):
+        # the role does not enter the equation: 8 variants are 4 equations
+        import lpspec.verify as verify_mod
+
+        solved = []
+        solve = verify_mod.solve_lsd
+
+        def counting(f, y, **kwargs):
+            solved.append(kwargs["variant"])
+            return solve(f, y, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "solve_lsd", counting)
+        config = EnsembleConfig(model=WHITE, p=32, n=64, replicates=1, base_seed=0,
+                                variants=all_variants(), solver=SolverConfig(quadrature_points=2),
+                                grid_points=64)
+        cdfs = _candidate_cdfs(config)
+        assert len(solved) == 4 and {v.role for v in solved} == {"direct"}
+        assert list(cdfs) == [v.label for v in all_variants()]
 
     def test_ambiguity_raises_with_evidence(self):
         with pytest.raises(CalibrationError) as err:
