@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .process import ProcessSpec, _filtered_record, autocovariance, coefficients, draw_innovations
 
@@ -204,7 +203,8 @@ def shift_representation_check(
         [np.zeros((p, 1)), np.eye(p), np.eye(p), np.zeros((p, 1))]
     )
     stacked = np.vstack([pair.at_transposed_shift(), pair.at_shift_reversed()])
-    rebuilt = selector @ block_diag(z, z) @ stacked
+    zero = np.zeros_like(z)
+    rebuilt = selector @ np.block([[z, zero], [zero, z]]) @ stacked
     deviation = float(np.max(np.abs(direct - rebuilt)))
     return deviation <= tol, deviation
 

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .lsd import (
     DEFAULT_CONFIG,
@@ -429,6 +428,13 @@ class StudyResult:
         return {"rows": list(self.rows), "spearman_rho": self.spearman_rho}
 
 
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..len(values); tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2.0)[inverse]
+
+
 def convergence_study(
     model: CoefficientModel,
     y: float,
@@ -480,7 +486,8 @@ def convergence_study(
         )
         medians.append(float(med))
     if len(sizes) > 1:
-        rho = float(stats.spearmanr(sizes, medians).statistic)
+        # element [1, 0], as stats.spearmanr reads it: [0, 1] rounds differently
+        rho = float(np.corrcoef(_average_ranks(sizes), _average_ranks(medians))[1, 0])
     else:
         rho = 0.0
     return StudyResult(tuple(rows), rho)

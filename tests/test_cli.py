@@ -1,11 +1,16 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpspec
 from lpspec.cli import ConfigError, parse_config, run
 from lpspec.spectra import EigensolverError
 
@@ -296,6 +301,20 @@ class TestSolveCommand:
         message = " ".join(rec.getMessage() for rec in caplog.records)
         assert re.search(r"density: solve failed at x = \d", message)
         assert re.search(r"residual \d\.\d+e[+-]\d+", message)
+
+    def test_law_outside_unit_interval_exit_code(self, tmp_path, caplog):
+        # raw-y-companion of AR(1) phi = 0.9 at y = 0.5 reads an atom of -1
+        out = tmp_path / "run"
+        doc = {"command": "solve", "model": {"kind": "ar1", "phi": 0.9}, "y": 0.5,
+               "variant": "raw-y-companion"}
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run(["solve", "--out", str(out), "--config", write_config(tmp_path, doc)])
+        assert code == 3
+        assert not (out / "lsd.json").exists()
+        assert not out.exists() or not any(out.iterdir())
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert "atom in [0, 1] and CDF in [0, 1]" in message
+        assert "raw-y-companion" in message and "y = 0.5" in message
 
 
 class TestSimulateCommand:
@@ -636,3 +655,14 @@ def test_public_surface_resolves():
     assert quickstart
     missing += [(m.__name__, name) for m, name in quickstart if not hasattr(m, name)]
     assert missing == []
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.signal and scipy.stats alone took about 1 s of a 1.6 s CLI start
+    heavy = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.special")
+    code = f"import sys, lpspec.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(lpspec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

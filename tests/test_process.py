@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from lpspec.process import (
     CoefficientModel,
@@ -71,6 +72,11 @@ class TestCoefficients:
             CoefficientModel.ar1(1.2)
         with pytest.raises(ValueError, match="causal"):
             CoefficientModel.arma(phi=[1.5], theta=[])
+
+    def test_subnormal_ar_coefficient_is_causal(self):
+        # the root 1/phi overflows; the causality check must not
+        assert CoefficientModel.ar1(2.2e-311).phi == (2.2e-311,)
+        assert CoefficientModel.arma(phi=[0.5, -1e-310], theta=[0.4]).phi == (0.5, -1e-310)
 
     def test_explicit_leading_zero_rejected(self):
         with pytest.raises(ValueError, match="c_0"):
@@ -283,3 +289,64 @@ class TestSerialization:
         ]
         for m in models:
             assert CoefficientModel.from_json(m.to_json()) == m
+
+
+def causal_ar(partials):
+    """AR coefficients from partial autocorrelations in (-1, 1), which are
+    always causal (the Durbin-Levinson recursion)."""
+    phi = []
+    for r in partials:
+        phi = [a - r * b for a, b in zip(phi, reversed(phi))] + [r]
+    return phi
+
+
+def lfilter_coefficients(model, count):
+    impulse = np.zeros(count)
+    impulse[0] = 1.0
+    return signal.lfilter([1.0, *model.theta], [1.0, *(-p for p in model.phi)], impulse)
+
+
+class TestScipyReferences:
+    """The numpy code against the scipy routines it replaced."""
+
+    @given(
+        partials=st.lists(st.floats(min_value=-0.95, max_value=0.95), max_size=2),
+        theta=st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_coefficients_match_lfilter(self, partials, theta):
+        model = CoefficientModel.arma(causal_ar(partials), theta)
+        got = coefficients(model, 600)
+        ref = lfilter_coefficients(model, 600)
+        if any(model.phi):
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("model", [CoefficientModel.ar1(0.5), CoefficientModel.ma([0.5])])
+    def test_short_kernel_record_is_direct_convolution(self, model):
+        spec = ProcessSpec(model, InnovationSpec(seed=4), default_horizon(model, 64))
+        draws = draw_innovations(spec.innovations, spec.horizon + 20_000)
+        ref = signal.convolve(draws, spec.coefficient_array(), method="auto")
+        got = simulate_record(spec, 20_000)
+        assert got.tobytes() == ref[spec.horizon : spec.horizon + 20_000].tobytes()
+
+    def test_long_kernel_record_matches_convolve(self):
+        model = CoefficientModel.ar1(0.99)
+        spec = ProcessSpec(model, InnovationSpec(seed=4), default_horizon(model, 64))
+        assert spec.horizon > 256
+        draws = draw_innovations(spec.innovations, spec.horizon + 5000)
+        ref = signal.convolve(draws, spec.coefficient_array(), method="auto")
+        ref = ref[spec.horizon : spec.horizon + 5000]
+        got = simulate_record(spec, 5000)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "model, horizon",
+        [(CoefficientModel.ar1(0.9), 131), (CoefficientModel.ar1(0.99), 1374),
+         (CoefficientModel.arma([0.5], [0.4]), 20), (CoefficientModel.arma([0.99], [0.4]), 1375)],
+    )
+    def test_default_horizons_unchanged(self, model, horizon):
+        # the horizons of the lfilter coefficients and block sums (n = 1 shows J)
+        assert default_horizon(model, 1) == horizon
+        assert default_horizon(model, 256) == max(256, horizon)

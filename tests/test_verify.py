@@ -1,5 +1,6 @@
 import json
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,6 +344,22 @@ class TestConvergenceStudy:
                                 solver=SolverConfig(quadrature_points=64))
         assert ratios == [0.3]
         assert [(r["n"], r["p"]) for r in res.rows] == [(25, 8), (50, 15)]
+
+    # the second list rounds differently in the other off-diagonal element
+    @pytest.mark.parametrize("medians", [[0.3, 0.2, 0.2, 0.1], [0.1, 0.1, 0.2, 0.2, 0.3],
+                                         [0.05, 0.3, 0.3, 0.3]])
+    def test_rho_is_spearman_with_ties(self, monkeypatch, medians):
+        import lpspec.verify as verify_mod
+        from scipy import stats
+
+        sizes = [16 * (k + 1) for k in range(len(medians))]
+        by_n = dict(zip(sizes, medians))
+        monkeypatch.setattr(verify_mod, "_candidate_cdfs", lambda config, y: None)
+        monkeypatch.setattr(verify_mod, "run_ensemble", lambda config, candidates: SimpleNamespace(
+            per_replicate_ks=[{config.variants[0].label: by_n[config.n]}]))
+        res = convergence_study(WHITE, 1.0, sizes, replicates=1, base_seed=0)
+        assert [r["ks_median"] for r in res.rows] == medians
+        assert res.spearman_rho == stats.spearmanr(sizes, medians).statistic
 
     def test_trend_negative_rho(self):
         res = convergence_study(WHITE, 1.0, [32, 64, 128], replicates=3, base_seed=4)
