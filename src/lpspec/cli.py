@@ -30,6 +30,7 @@ from .lsd import (
     EquationVariant,
     NumericalError,
     SolverConfig,
+    law_range_violation,
     lsd_cdf,
     solve_lsd,
 )
@@ -48,12 +49,6 @@ from .verify import (
 __all__ = ["main", "run", "parse_config"]
 
 log = logging.getLogger("lpspec.cli")
-
-# Slack of the solve invariant "atom in [0, 1] and CDF in [0, 1]": the atom is
-# exact up to rounding; the CDF ends at the mass, up to 1.6e-3 above 1 at 64
-# quadrature points.
-_ROUNDING_SLACK = 1e-12
-_MASS_SLACK = 1e-2
 
 # keys every command accepts
 _GLOBAL_KEYS = ("command", "seed", "jobs", "out")
@@ -299,15 +294,9 @@ def _cmd_solve(cfg: dict) -> dict[str, str]:
         config=SolverConfig(**cfg["solver"]),
         grid_points=cfg["grid_points"],
     )
-    # a variant whose equation misses the rank-deficit atom reads a law below 0
-    atom = solution.atom_at_zero
-    low = min(atom, float(np.min(solution.cdf_values)))
-    high = max(atom, float(np.max(solution.cdf_values)))
-    if not (low >= -_ROUNDING_SLACK and high <= 1.0 + _MASS_SLACK):
-        raise NumericalError(
-            f"invariant atom in [0, 1] and CDF in [0, 1] fails for variant {variant.label} "
-            f"at y = {cfg['y']!r}: atom {atom!r}, CDF from {low!r} to {high!r}"
-        )
+    violation = law_range_violation(solution)
+    if violation:
+        raise NumericalError(violation)
     density_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.density)))
     cdf_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.cdf_values)))
     return {

@@ -22,20 +22,32 @@ implemented; the verification module adjudicates them empirically against
 white-noise Monte Carlo, where the law must reduce to the Marchenko-Pastur
 family.
 
-The law is read off the explicit inverse z(s) = -1/s + r * mean(f/(1+fs))
-on the real axis (Silverstein & Choi, J. Multivariate Anal. 54, 1995), with
-the quadrature samples of f as a discrete law: values t_j > 0, weights w_j.
-In v = -1/s, z = v (1 + r sum_j w_j t_j / (v - t_j)) and z'(s) has the sign
-of 1 - phi(v), phi = r sum_j w_j t_j^2 / (v - t_j)^2.  A local maximum of z
-opens a support interval and a local minimum closes one: phi falls through 1
-once above the largest t_j (the upper edge), rises to r * share(f > 0) at
-v = 0 below the smallest (the lower edge; a hard edge at 0 if that is 1), and
-dips below 1 twice or never between neighbours (an inner gap).
+The law is read off the explicit inverse z(s) = -1/s + r * K(s) on the real
+axis (Silverstein & Choi, J. Multivariate Anal. 54, 1995), where the kernel
+K(s) = mean(f/(1+fs)) and its s-derivative are evaluated for a whole array
+of s at once.  Two kernels compute them:
+
+* exact (`_Rational`) - for an ARMA density f = |b|^2/|a|^2 of order up to
+  _EXACT_ORDER, f is a ratio of polynomials in u = 2 cos w and K is a finite
+  residue sum over the roots of |a|^2 + s|b|^2;
+* trapezoid (`_Population`) - for FARIMA, long coefficient lists and other
+  callables, the quadrature samples of f form a discrete law: values
+  t_j > 0, weights w_j.
+
+In v = -1/s, z'(s) has the sign of 1 - phi(v), phi = -r K'(-1/v) / v^2.  A
+local maximum of z opens a support interval and a local minimum closes one.
+phi falls through 1 once above the largest value of f: the upper edge.
+Below the smallest it rises from r * share(f > 0) at v = 0, so the lower
+edge lies below v = 0 when that is above 1, at 0 when it is 1 or when f has
+a zero, and between 0 and the smallest value otherwise.  A continuous f
+gives one interval and the atom max(0, 1 - r); between neighbouring t_j of
+the discrete law, phi dips below 1 twice or never (an inner gap).
 
 `solve_lsd` makes one pass per support interval [a, b]: it builds nodes
 graded in sqrt(x) by the cosine of an angle theta in [0, pi], follows the
-root down them from the square-root expansion at b, and integrates the CDF
-in the same theta.
+root down about 32 of them from the square-root expansion at b, solves the
+rest by one batched Newton from values interpolated between those, and
+integrates the CDF in the same theta.
 """
 
 from __future__ import annotations
@@ -46,6 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .process import SpectralDensity
+
 __all__ = [
     "ConvergenceError",
     "DEFAULT_VARIANT",
@@ -55,6 +69,7 @@ __all__ = [
     "NumericalError",
     "SolverConfig",
     "all_variants",
+    "law_range_violation",
     "lsd_cdf",
     "marchenko_pastur",
     "quadrature_integral",
@@ -63,14 +78,21 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_EPS = np.finfo(float).eps
 # knots of the Marchenko-Pastur CDF table
 _MP_TABLE_POINTS = 4096
-# Newton: iterations per solve, step halvings per iteration (and splits per
-# step of a march), and the residual relative to |z| + |1/s| that converges
-_MAX_ITERATIONS, _HALVINGS, _RESIDUAL_TOL = 30, 30, 1e-12
-# bisection steps per edge, matrix entries per pass of the edge search, and
-# the grid points each support interval gets when the grid allows
+# Newton: steps tried per point, splits of one march step (nested, and in
+# all), and the residual relative to |z| + |1/s| that converges
+_MAX_ITERATIONS, _HALVINGS, _SPLITS, _RESIDUAL_TOL = 60, 30, 64, 1e-12
+# the largest rounding noise of K1, relative to K1, that the residual may keep
+_NOISE_CAP = 1e-8
+# bisection steps per edge, matrix entries per block of the trapezoid kernel,
+# and the grid points each support interval gets when the grid allows
 _BISECTIONS, _SCAN_ENTRIES, _MIN_INTERVAL_POINTS = 50, 1 << 16, 16
+# nodes of the sequential pass that seeds each interval's batched Newton
+_COARSE_NODES = 32
+# the highest order of a rational f whose kernel is summed by residues
+_EXACT_ORDER = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -140,6 +162,9 @@ def all_variants() -> tuple[EquationVariant, ...]:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Frequencies of the trapezoid kernel and of `quadrature_integral`; the
+    exact kernel of an ARMA density of order up to _EXACT_ORDER ignores them."""
+
     quadrature_points: int = 2048
 
     def __post_init__(self) -> None:
@@ -150,8 +175,7 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def _density_values(f, config: SolverConfig) -> np.ndarray:
-    grid = np.linspace(0.0, _TWO_PI, config.quadrature_points, endpoint=False)
+def _density_values(f, grid: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(grid), dtype=float)
     if vals.shape != grid.shape:
         vals = np.broadcast_to(vals, grid.shape).astype(float)
@@ -160,14 +184,8 @@ def _density_values(f, config: SolverConfig) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def _population(f, config: SolverConfig):
-    """The quadrature samples of f as a discrete law: distinct positive values
-    t, their weights w, and the share of positive samples (exact when 1)."""
-    t, counts = np.unique(_density_values(f, config), return_counts=True)
-    if t[-1] <= 0.0:
-        raise ValueError("spectral density must not vanish identically")
-    positive = t > np.finfo(float).eps * t[-1]  # rounding noise of a zero of f is a zero
-    return t[positive], counts[positive] / counts.sum(), int(counts[positive].sum()) / counts.sum()
+def _frequencies(config: SolverConfig) -> np.ndarray:
+    return np.linspace(0.0, _TWO_PI, config.quadrature_points, endpoint=False)
 
 
 def _integrand(f_vals: np.ndarray, s: complex) -> np.ndarray:
@@ -184,70 +202,310 @@ def quadrature_integral(f, s: complex, variant: EquationVariant = DEFAULT_VARIAN
 
     Uniform trapezoid on the periodic grid; spectrally accurate for smooth f.
     """
-    mean = complex(np.mean(_integrand(_density_values(f, config), complex(s))))
+    mean = complex(np.mean(_integrand(_density_values(f, _frequencies(config)), complex(s))))
     return mean * _TWO_PI if variant.normalization == "raw" else mean
 
 
-def _residual_parts(t: np.ndarray, w: np.ndarray, s: complex, z: complex, scale: float):
-    """Residual R(s) = 1/s + z - scale * sum(w t/(1+ts)), its size and R'(s).
+# ---------------------------------------------------------------------------
+# The kernel: K1(s) = mean(f/(1+fs)) and K2(s) = mean(f^2/(1+fs)^2) = -K1'(s)
+# at a whole array of s.  Each kernel also knows the range [low, high] of f,
+# the share of frequencies where f > 0, and the inner gaps of its support.
+# ---------------------------------------------------------------------------
+
+
+def _cosine_poly(coeffs: np.ndarray) -> np.ndarray:
+    """|c(e^{iw})|^2 as a polynomial in u = 2 cos w, in ascending powers:
+    gamma_0 + sum_k gamma_k C_k(u) with gamma_k = sum_j c_j c_{j+k} and
+    C_k(u) = 2 cos(k w) = u C_{k-1}(u) - C_{k-2}(u), C_0 = 2, C_1 = u."""
+    gamma = np.correlate(coeffs, coeffs, "full")[coeffs.size - 1:]
+    out, before, term = np.zeros(gamma.size), np.zeros(gamma.size), np.zeros(gamma.size)
+    out[0], before[0] = gamma[0], 2.0
+    term[min(1, gamma.size - 1)] = 1.0  # C_1 = u, unless f is constant
+    for g in gamma[1:]:
+        out += g * term
+        before, term = term, np.concatenate([[0.0], term[:-1]]) - before
+    return out
+
+
+def _branch(u: np.ndarray) -> np.ndarray:
+    """w = sqrt(u^2 - 4) on the branch with |u - w| < 2, where the root
+    (u - w)/2 of zeta^2 - u zeta + 1 lies inside the unit disk; the mean over
+    frequencies of 1/(2 cos w - u) is -1/w."""
+    w = np.sqrt((u - 2.0) * (u + 2.0))
+    return np.where((u.conj() * w).real < 0.0, -w, w)
+
+
+class _Rational:
+    """Exact kernel of f = B(u)/A(u), u = 2 cos w, summed by residues.
+
+    At each s the m roots u_k of Q = A + sB give the partial fractions
+    B/Q = c + sum_k r_k/(u - u_k) with r_k = B(u_k)/Q'(u_k).  The mean over w
+    of 1/(u - c) is -1/w(c) (`_branch`), and the mean of a product of two
+    poles is the divided difference of -1/w.
+    """
+
+    share = 1.0  # f > 0 off a finite set
+
+    def __init__(self, ma: np.ndarray, ar: np.ndarray):
+        num, den = _cosine_poly(ma), _cosine_poly(ar)
+        self.order = m = max(num.size, den.size) - 1
+        self.num, self.den = (np.pad(c, (0, m + 1 - c.size)) for c in (num, den))
+        # f is extreme on [-2, 2] at an end or at a real root of B'A - BA'
+        # (the real parts of its other roots only add samples of f)
+        u = np.array([-2.0, 2.0])
+        if m:
+            powers = np.arange(1, m + 1)
+            slope = np.convolve(self.num[1:] * powers, self.den) \
+                - np.convolve(self.num, self.den[1:] * powers)
+            u = np.append(u, np.clip(np.roots(slope[::-1]).real, -2.0, 2.0))
+        vals = np.polyval(self.num[::-1], u) / np.polyval(self.den[::-1], u)
+        self.low, self.high = max(float(vals.min()), 0.0), float(vals.max())
+
+    def __call__(self, s):
+        m, num = self.order, self.num
+        q = self.den + np.asarray(s, dtype=complex)[:, None] * num  # Q, ascending in u
+        c = num[m] / q[:, m]  # B/Q at u = infinity
+        if m == 0:
+            return c, c * c, _EPS * np.abs(c)
+        if m == 1:  # one pole: no pairs, and the root is off by eps 2|u|
+            u = -q[:, 0] / q[:, 1]
+            r = (num[0] + num[1] * u) / q[:, 1]
+            w = _branch(u)
+            rg, rdg = -r / w, r * u / w**3
+            noise = _EPS * (np.abs(c) + np.abs(rg) + 2.0 * np.abs(rdg * u))
+            return c + rg, c * c + 2.0 * c * rg + r * rdg, noise
+        if m == 2:
+            return self._quadratic(q, c)
+        companion = np.zeros((q.shape[0], m, m), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(m - 1)
+        companion[:, :, -1] = -q[:, :m] / q[:, m:]
+        u = np.linalg.eigvals(companion)
+        diff = u[:, :, None] - u[:, None, :]
+        diff[:, range(m), range(m)] = 1.0
+        slope = q[:, m:] * diff.prod(axis=2)  # Q'(u_k)
+        r = np.polyval(num[::-1], u) / slope
+        w = _branch(u)
+        g, dg = -1.0 / w, u / w**3
+        uj, uk, wj, wk = u[:, :, None], u[:, None, :], w[:, :, None], w[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # (g_j - g_k)/(u_j - u_k) = (u_j + u_k)/(w_j w_k (w_j + w_k)), which
+            # is g' at j = k; a pair u, -u takes the first form
+            pair = np.where(np.abs(wj + wk) >= np.abs(wj - wk), (uj + uk) / (wj * wk * (wj + wk)),
+                            (g[:, :, None] - g[:, None, :]) / diff)
+        rg = r * g
+        # rounding noise of K1: eps in each term, and the error
+        # eps (sum_j |q_j| |u|^j / |Q'(u)| + |u|) of each root, which g' magnifies
+        # near u = +-2 and r_k magnifies by 1/|u_k - u_j| near another root
+        spread = np.abs(q[:, m:])
+        for coeff in np.abs(q[:, m - 1::-1].T):
+            spread = spread * np.abs(u) + coeff[:, None]
+        error = spread / np.abs(slope) + np.abs(u)  # at least the rounding of u
+        near = ((error[:, :, None] + error[:, None, :]) / np.abs(diff)).sum(axis=2) - 2.0 * error
+        terms = np.abs(r * dg) * error + np.abs(rg) * (1.0 + near)
+        noise = _EPS * (np.abs(c) + terms.sum(axis=1))
+        rg = rg.sum(axis=1)
+        return c + rg, c * c + 2.0 * c * rg + np.einsum("sj,sk,sjk->s", r, r, pair), noise
+
+    def _quadratic(self, q: np.ndarray, c: np.ndarray):
+        """The order-2 kernel.  Where the two roots close in, within 1 of
+        each other, the residues grow as 1/(u1 - u2) and cancel, so there
+        K1 = c + (Bg)[u1, u2]/q2 and K2 = c^2 + 2c (K1 - c)
+        + (B^2 g)[u1, u1, u2, u2]/q2^2, with the divided differences of the
+        product by Leibniz's rule; elsewhere the partial fractions."""
+        num, q2 = self.num, q[:, 2]
+        d = np.sqrt(q[:, 1] ** 2 - 4.0 * q2 * q[:, 0])
+        t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * d).real < 0.0, -d, d))
+        u1, u2 = t / q2, q[:, 0] / t  # each root without cancellation
+        w1, w2 = _branch(u1), _branch(u2)
+        g1, g2, dg1, dg2 = -1.0 / w1, -1.0 / w2, u1 / w1**3, u2 / w2**3
+        b1, b2 = (num[0] + (num[1] + num[2] * u) * u for u in (u1, u2))
+        b12, delta = num[1] + num[2] * (u1 + u2), u1 - u2  # B[u1, u2]
+        r1, r2 = b1 / (q2 * delta), -b2 / (q2 * delta)
+        close = np.abs(delta) < 1.0
+        # roots on either side of the cut [-2, 2] (or a pair u, -u) differ
+        # in g: there plain difference quotients are exact enough
+        across = np.abs(w1 + w2) < np.abs(w1 - w2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g12 = np.where(across, (g1 - g2) / delta, (u1 + u2) / (w1 * w2 * (w1 + w2)))
+            g112, g122 = (dg1 - g12) / delta, (g12 - dg2) / delta
+            leibniz = (b1 * b1 * (g112 - g122) / delta + (b1 + b2) * b12 * g122
+                       + b12 * b12 * g12) / (q2 * q2)
+        fractions = r1 * r1 * dg1 + r2 * r2 * dg2 + 2.0 * r1 * r2 * g12
+        bg = 0.5 * (b12 * (g1 + g2) + (b1 + b2) * g12)  # (Bg)[u1, u2]
+        k1 = c + np.where(close, bg / q2, r1 * g1 + r2 * g2)
+        k2 = c * c + 2.0 * c * (k1 - c) + np.where(close & across, leibniz, fractions)
+        # rounding noise of K1: eps in each term, and the error of each root,
+        # eps (sum_j |q_j| |u|^j / |Q'(u)| + |u|), times the slope of K1 in
+        # it; that of (Bg)[u1, u2] in u1 is (Bg)[u1, u1, u2], by Leibniz's rule
+        a0, a1, a2 = np.abs(q.T) / np.abs(q2 * delta)
+        e1, e2 = (a0 + np.abs(u) * (a1 + np.abs(u) * a2) + np.abs(u) for u in (u1, u2))
+        s1, s2 = ((np.abs(b * g3) + np.abs((num[1] + 2.0 * num[2] * u) * g12) + np.abs(num[2] * g))
+                  for b, g3, u, g in ((b1, g112, u1, g2), (b2, g122, u2, g1)))
+        near = (0.5 * (np.abs(b12) * (np.abs(g1) + np.abs(g2)) + (np.abs(b1) + np.abs(b2)) * np.abs(g12))
+                + e1 * s1 + e2 * s2) / np.abs(q2)
+        far = np.abs(r1 * g1) + np.abs(r2 * g2) + e1 * np.abs(r1 * dg1) + e2 * np.abs(r2 * dg2)
+        return k1, k2, _EPS * (np.abs(c) + np.where(close, near, far))
+
+    def gaps(self, scale: float):
+        """A continuous f leaves no gap inside the support."""
+        return (np.empty(0),) * 3
+
+    def weight_below(self, v: np.ndarray) -> np.ndarray:
+        return np.full(v.shape, self.share)
+
+
+class _Population:
+    """Trapezoid kernel: the quadrature samples of f as a discrete law, with
+    distinct values t_j > 0 (samples at the rounding level of the largest are
+    zeros), weights w_j and their total `share`.  A SpectralDensity is even
+    in w, so only its samples on [0, pi] are taken, with double weight inside."""
+
+    def __init__(self, f, config: SolverConfig):
+        q = config.quadrature_points
+        grid = _frequencies(config)
+        weights = np.ones(q)
+        if isinstance(f, SpectralDensity):
+            grid, weights = grid[:q // 2 + 1], weights[:q // 2 + 1]
+            weights[1:(q + 1) // 2] = 2.0
+        t, which = np.unique(_density_values(f, grid), return_inverse=True)
+        if t[-1] <= 0.0:
+            raise ValueError("spectral density must not vanish identically")
+        positive = t > _EPS * t[-1]
+        counts = np.bincount(which, weights)[positive]
+        self.t, self.w, self.share = t[positive], counts / q, float(counts.sum()) / q
+        self.low, self.high = float(self.t[0]), float(self.t[-1])
+        self.inverse = 1.0 / self.t
+
+    def __call__(self, s):
+        s = np.asarray(s)
+        sums = []
+        for block in np.array_split(s, 1 + s.size * self.t.size // _SCAN_ENTRIES):
+            a = 1.0 / (self.inverse + block[:, None])  # t/(1 + ts)
+            sums.append((a @ self.w, (a * a) @ self.w))
+        k1, k2 = (np.concatenate(part) for part in zip(*sums))
+        return k1, k2, _EPS * np.abs(k1)
+
+    def gaps(self, scale: float):
+        """Gaps (t_j, v, t_{j+1}) between neighbouring values where phi dips
+        below 1 at v.  The terms of t_j and t_{j+1} alone keep phi above
+        (cbrt(A) + cbrt(B))^3 / gap^2, so only gaps where that is below 1 can
+        dip; v is where sum_j w_j (t_j / (v - t_j))^3 changes sign."""
+        t, w = self.t, self.w
+        near = scale * w * t * t
+        gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
+        lo, hi = t[gaps], t[gaps + 1]
+        vmin = _bisect(lambda v: -_pole_sums(v, t, w, scale, 3), lo, hi)
+        dips = _pole_sums(vmin, t, w, scale, 2) < 1.0
+        return lo[dips], vmin[dips], hi[dips]
+
+    def weight_below(self, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.w)])[np.searchsorted(self.t, v)]
+
+
+def _kernel(f, config: SolverConfig):
+    """The exact kernel for a SpectralDensity of order up to _EXACT_ORDER,
+    else the trapezoid kernel on config.quadrature_points frequencies."""
+    if isinstance(f, SpectralDensity) and np.any(f.ma_coeffs) and np.any(f.ar_coeffs):
+        # trailing coefficients below the rounding of the largest are zeros
+        ma, ar = (c[:np.flatnonzero(np.abs(c) > _EPS * np.abs(c).max())[-1] + 1]
+                  for c in (f.ma_coeffs, f.ar_coeffs))
+        if max(ma.size, ar.size) - 1 <= _EXACT_ORDER:
+            return _Rational(ma, ar)
+    return _Population(f, config)
+
+
+def _pole_sums(v: np.ndarray, t: np.ndarray, w: np.ndarray, scale: float, power: int) -> np.ndarray:
+    """scale * sum_j w_j (t_j / (v - t_j))^power at each v, in blocks of rows."""
+    out = []
+    with np.errstate(divide="ignore"):
+        for block in np.array_split(v, 1 + v.size * t.size // _SCAN_ENTRIES):
+            ratio = term = t / (block[:, None] - t)
+            for _ in range(power - 1):  # not **: a negative base takes a slow path
+                term = term * ratio
+            out.append(scale * (term @ w))
+    return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# Newton on the residual R(s) = 1/s + z - scale K1(s), batched over points
+# ---------------------------------------------------------------------------
+
+
+def _residual_parts(kernel, scale: float, s: np.ndarray, z: np.ndarray):
+    """R(s), its size, R'(s) and the size that converges, at each point.
 
     The size takes Im R relative to Im s: Im R = Im z - Im s * B(s) is small
-    near any real s with z(s) close to z, which is no root.
+    near any real s with z(s) close to z, which is no root.  It converges
+    within _RESIDUAL_TOL of |z| + |1/s| plus the kernel's rounding noise (at
+    most _NOISE_CAP of K1), which roots of A + sB near u = +-2 or near each
+    other magnify.
     """
-    a = _integrand(t, s)
-    residual = 1.0 / s + z - scale * complex(np.dot(a, w))
-    size = abs(residual.real) + abs(residual.imag) * abs(s) / s.imag
-    return residual, size, -1.0 / (s * s) + scale * complex(np.dot(a * a, w))
+    k1, k2, noise = kernel(s)
+    residual = 1.0 / s + z - scale * k1
+    weight = np.abs(s) / s.imag
+    size = np.abs(residual.real) + np.abs(residual.imag) * weight
+    noise = np.minimum(noise, _NOISE_CAP * np.abs(k1))
+    floor = _RESIDUAL_TOL * (np.abs(z) + np.abs(1.0 / s)) + scale * noise * (1.0 + weight)
+    return residual, size, -1.0 / (s * s) + scale * k2, floor
 
 
-def _newton(t: np.ndarray, w: np.ndarray, scale: float, z: complex, s: complex):
-    """Root of R from a start s with Im s > 0, and R' there.  Each step is
-    halved until it stays in the upper half-plane and lowers the size of R."""
-    residual, merit, deriv = _residual_parts(t, w, s, z, scale)
+def _newton(kernel, scale: float, z: np.ndarray, s: np.ndarray):
+    """Roots of R at the points z from starts s with Im s > 0, all at once.
+
+    Each sweep evaluates the kernel once, at one trial step per unconverged
+    point; a step is kept if it stays in the upper half-plane and lowers the
+    size of R, else it is halved for the next sweep.  A point gets at most
+    _MAX_ITERATIONS trials.  Returns the roots, R' there, the residual sizes
+    and the mask of the points that converged.
+    """
+    s = np.array(s, dtype=complex)
+    residual, size, deriv, floor = _residual_parts(kernel, scale, s, z)
+    step = residual / deriv
     for _ in range(_MAX_ITERATIONS):
-        if merit <= _RESIDUAL_TOL * (abs(z) + abs(1.0 / s)):
-            return s, deriv
-        step = residual / deriv
-        for _ in range(_HALVINGS):
-            trial = s - step
-            if trial.imag > 0.0 and math.isfinite(abs(trial)):
-                try:
-                    parts = _residual_parts(t, w, trial, z, scale)
-                except NumericalError:
-                    parts = (None, math.inf, None)
-                if parts[1] < merit:
-                    break
-            step *= 0.5
-        else:
+        live = np.flatnonzero(~(size <= floor))
+        if not live.size:
             break
-        s, (residual, merit, deriv) = trial, parts
-    raise ConvergenceError(f"no convergence at z = {z!r} (residual {merit:.3e})",
-                           z=z, residual=merit)
+        trial = s[live] - step[live]
+        step[live] *= 0.5  # a kept step is replaced below
+        fit = (trial.imag > 0.0) & np.isfinite(trial)
+        live, trial = live[fit], trial[fit]
+        if not live.size:
+            continue
+        with np.errstate(all="ignore"):
+            parts = _residual_parts(kernel, scale, trial, z[live])
+        better = parts[1] < size[live]
+        keep = live[better]
+        s[keep] = trial[better]
+        residual[keep], size[keep], deriv[keep], floor[keep] = (part[better] for part in parts)
+        step[keep] = residual[keep] / deriv[keep]
+    return s, deriv, size, size <= floor
 
 
-def _follow(t, w, scale: float, z_from: complex, s: complex, deriv, z_to: complex,
+def _follow(kernel, scale: float, z_from: complex, s: complex, deriv, z_to: complex,
             curvature: float = 0.0):
     """Root at z_to and R' there, following the root s at z_from: Newton
     starts from the tangent ds/dz = -1/R'(s) (deriv = R'(s)) or, from a right
-    edge (deriv None), from s + i sqrt(2 (z_from - z) / curvature); a step
-    that fails is split in half."""
+    edge (deriv None), from s + i sqrt(2 (z_from - z) / curvature).  A step
+    that fails is split in half, at most _HALVINGS deep and _SPLITS times."""
     targets = [z_to]
-    while targets:
+    for _ in range(_SPLITS):
         z = targets[-1]
         if deriv is None:
             start = s + 1j * math.sqrt(2.0 * (z_from - z).real / curvature)
         else:
             start = s - (z - z_from) / deriv
             start = start if start.imag > 0.0 and math.isfinite(abs(start)) else s
-        try:
-            s, deriv = _newton(t, w, scale, z, start)
-        except ConvergenceError:
-            if len(targets) > _HALVINGS:
-                raise
+        root, slope, size, converged = _newton(kernel, scale, np.array([z]), np.array([start]))
+        if converged[0]:
+            s, deriv, z_from = complex(root[0]), complex(slope[0]), targets.pop()
+            if not targets:
+                return s, deriv
+        elif len(targets) > _HALVINGS:
+            break
+        else:
             targets.append(0.5 * (z + z_from))
-            continue
-        z_from = targets.pop()
-    return s, deriv
+    raise ConvergenceError(f"no convergence at z = {z!r} (residual {size[0]:.3e})",
+                           z=z, residual=float(size[0]))
 
 
 def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_VARIANT,
@@ -264,25 +522,18 @@ def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_
         raise ValueError("solve_stieltjes requires Im z > 0")
     if not 0.0 < y < math.inf:
         raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
-    t, w, _ = _population(f, config)
+    kernel = _kernel(f, config)
     scale = variant.scale(y)
-    try:
-        return _newton(t, w, scale, z, s0 if s0 is not None and s0.imag > 0 else -1.0 / z)[0]
-    except ConvergenceError:
-        top = complex(z.real, max(z.imag, 4.0 * (abs(z) + (1.0 + scale) * t[-1])))
-        return _follow(t, w, scale, top, *_newton(t, w, scale, top, -1.0 / top), z)[0]
-
-
-def _pole_sums(v: np.ndarray, t: np.ndarray, w: np.ndarray, scale: float, power: int) -> np.ndarray:
-    """scale * sum_j w_j (t_j / (v - t_j))^power at each v, in blocks of rows."""
-    out = []
-    with np.errstate(divide="ignore"):
-        for block in np.array_split(v, 1 + v.size * t.size // _SCAN_ENTRIES):
-            ratio = term = t / (block[:, None] - t)
-            for _ in range(power - 1):  # not **: a negative base takes a slow path
-                term = term * ratio
-            out.append(scale * (term @ w))
-    return np.concatenate(out)
+    start = s0 if s0 is not None and s0.imag > 0 else -1.0 / z
+    top = complex(z.real, max(z.imag, 4.0 * (abs(z) + (1.0 + scale) * kernel.high)))
+    roots, slopes, sizes, converged = _newton(kernel, scale, np.array([z, top]),
+                                              np.array([start, -1.0 / top]))
+    if converged[0]:
+        return complex(roots[0])
+    if not converged[1]:
+        raise ConvergenceError(f"no convergence at z = {top!r} (residual {sizes[1]:.3e})",
+                               z=top, residual=float(sizes[1]))
+    return _follow(kernel, scale, top, complex(roots[1]), complex(slopes[1]), z)[0]
 
 
 def _bisect(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -295,42 +546,48 @@ def _bisect(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 # a support interval [a, b] (a = 0: a hard edge), the root at b and z'' there,
-# which seed the density march, and the weight of the t_j whose clusters it holds
+# which seed the density march, and the weight of f's values it holds
 _Interval = NamedTuple("_Interval", [("a", float), ("b", float), ("s_b", float),
                                      ("curvature", float), ("weight", float)])
 
 
-def _support(t: np.ndarray, w: np.ndarray, share: float, scale: float) -> list[_Interval]:
+def _support(kernel, scale: float) -> list[_Interval]:
     """Support intervals of the law, from the critical points of z(s)."""
-    def phi(v):
-        return _pole_sums(v, t, w, scale, 2)
+    def z_phi(v):  # z and phi at v = -1/s
+        s = -1.0 / v
+        k1, k2, _ = kernel(s)
+        return v + scale * k1.real, scale * (s * s * k2).real
 
-    reach = math.sqrt(scale * float(np.dot(w, t * t)))  # phi < 1 beyond it from every t_j
-    # between two neighbouring t_j their terms alone keep phi above
-    # (cbrt(A) + cbrt(B))^3 / gap^2, so only gaps where that is below 1 can dip
-    near = scale * w * t * t
-    gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
-    lo, hi = t[gaps], t[gaps + 1]
-    vmin = _bisect(lambda v: -_pole_sums(v, t, w, scale, 3), lo, hi)  # phi' = 0
-    dips = phi(vmin) < 1.0
-    lo, hi, vmin = lo[dips], hi[dips], vmin[dips]
+    reach = math.sqrt(scale) * kernel.high  # phi < 1 beyond it from every value of f
+    lo, vmin, hi = kernel.gaps(scale)
     # in v order the lower edge and the maxima of z open, the minima and the
-    # upper edge close; below t_1 phi rises to scale * share at v = 0
-    lower = (-reach, 0.0) if scale * share > 1.0 else (0.0, t[0])
-    v_open = _bisect(lambda v: phi(v) - 1, np.append(lower[0], vmin), np.append(lower[1], hi))
-    v_close = _bisect(lambda v: 1 - phi(v), np.append(lo, t[-1]), np.append(vmin, t[-1] + reach))
-    # at a hard edge (scale * share = 1) z falls from 0 below t_1: the edge is 0
-    opens = np.maximum(v_open * (1.0 + _pole_sums(v_open, t, w, scale, 1)), 0.0)
-    closes = v_close * (1.0 + _pole_sums(v_close, t, w, scale, 1))
+    # upper edge close.  Below the lowest value of f phi rises to
+    # scale * share at v = 0; where that is at most 1 and f has a zero, the
+    # lower edge is 0
+    hard = int(scale * kernel.share <= 1.0 and kernel.low == 0.0)
+    lower = (-reach, 0.0) if scale * kernel.share > 1.0 else (0.0, kernel.low)
+    opening = np.append(lower[0], vmin)[hard:], np.append(lower[1], hi)[hard:]
+    closing = np.append(lo, kernel.high), np.append(vmin, kernel.high + reach)
+    sign = np.repeat([1.0, -1.0], [opening[0].size, closing[0].size])
+    v = _bisect(lambda v: sign * (z_phi(v)[1] - 1.0), *map(np.concatenate, zip(opening, closing)))
+    z, phi_v = z_phi(v)
+    # at a hard edge (scale * share = 1) z falls from 0 below the lowest value
+    opens = np.append(np.zeros(hard), np.maximum(z[sign > 0], 0.0))
+    closes, v_close = z[sign < 0], v[sign < 0]
     edges = np.column_stack([opens, closes]).ravel()
     if np.any(np.diff(edges) <= 0.0):
         x = float(edges[np.argmax(np.diff(edges) <= 0.0)])
-        residual = float(np.max(np.abs(phi(v_close) - 1.0)))
+        residual = float(np.max(np.abs(phi_v - 1.0)))
         raise ConvergenceError(f"edge search: support edges out of order at x = {x!r} "
                                f"(residual {residual:.3e})", z=complex(x), residual=residual)
-    curvature = 2.0 * v_close**3 * (1.0 + _pole_sums(v_close, t, w, scale, 3))
-    below = np.concatenate([[0.0], np.cumsum(w)])[np.searchsorted(t, v_close)]  # weight below b
-    rows = zip(opens, closes, -1.0 / v_close, curvature, np.diff(below, prepend=0.0))
+    # z'' at each upper edge, by a central difference of z'(s) = 1/s^2 - scale K2(s)
+    s_b = -1.0 / v_close
+    h = 1e-5 * np.abs(s_b)
+    ends = np.concatenate([s_b - h, s_b + h])
+    slopes = (1.0 / ends**2 - scale * kernel(ends)[1].real).reshape(2, -1)
+    curvature = (slopes[1] - slopes[0]) / (2.0 * h)
+    weights = np.diff(kernel.weight_below(v_close), prepend=0.0)
+    rows = zip(opens, closes, s_b, curvature, weights)
     return [_Interval(*map(float, row)) for row in rows]
 
 
@@ -348,28 +605,50 @@ def _grid_sizes(intervals: list[_Interval], points: int) -> np.ndarray:
     return sizes
 
 
-def _interval_pass(t, w, scale: float, iv: _Interval, n: int):
-    """Grid, density and continuous mass of one support interval [a, b]: n
-    nodes (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally
-    spaced theta in [0, pi], edges included but a hard edge at 0; the root
-    followed down them from b; the trapezoid rule in theta, where rho dx/dtheta
-    is smooth and vanishes at both edges."""
+def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
+    """Grid, density and continuous mass of one support interval [a, b].
+
+    The n nodes are (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at
+    equally spaced theta in [0, pi], edges included but a hard edge at 0.
+    The root is followed down about _COARSE_NODES of the inner nodes from b;
+    one batched Newton solves the rest from s sqrt(x) interpolated in theta
+    between them, and a node it leaves is followed from its neighbour above.
+    The CDF is the trapezoid rule in theta, where rho dx/dtheta is smooth and
+    vanishes at both edges.
+    """
     hard = iv.a == 0.0
     theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
     ra, rb = math.sqrt(iv.a), math.sqrt(iv.b)
     rx = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))
     xs = rx**2
     xs[0], xs[-1] = iv.a, iv.b
-    u = np.zeros(xs.size - 2, dtype=complex)
-    x_done, s, deriv = complex(iv.b), complex(iv.s_b), None
-    for i in range(xs.size - 2, 0, -1):
-        x = complex(xs[i])
+    inner = xs[1:-1].astype(complex)
+    u, slopes = np.zeros(inner.size, dtype=complex), np.zeros(inner.size, dtype=complex)
+
+    def follow(i: int, j: int) -> None:  # node i from node j > i, or from b
+        above = (complex(inner[j]), complex(u[j]), complex(slopes[j])) if j < inner.size else \
+            (complex(iv.b), complex(iv.s_b), None)
+        x = complex(inner[i])
         try:
-            s, deriv = _follow(t, w, scale, x_done, s, deriv, x, iv.curvature)
+            u[i], slopes[i] = _follow(kernel, scale, *above, x, iv.curvature)
         except ConvergenceError as exc:
             raise ConvergenceError(f"density: solve failed at x = {x.real!r}: {exc}",
                                    z=x, residual=exc.residual) from exc
-        x_done, u[i - 1] = x, s
+
+    # distinct: the spacing is at least one node
+    coarse = np.linspace(0, inner.size - 1, min(inner.size, _COARSE_NODES)).round().astype(int)
+    for i, j in zip(coarse[::-1], np.append(inner.size, coarse[:0:-1])):
+        follow(i, j)
+    solved = np.zeros(inner.size, dtype=bool)
+    solved[coarse] = True
+    rest = np.flatnonzero(~solved)
+    if rest.size:
+        at, seed = theta[1:-1], u * rx[1:-1]
+        start = np.interp(at[rest], at[coarse], seed[coarse].real) \
+            + 1j * np.interp(at[rest], at[coarse], seed[coarse].imag)
+        u[rest], slopes[rest], _, converged = _newton(kernel, scale, inner[rest], start / rx[1:-1][rest])
+        for i in rest[~converged][::-1]:
+            follow(i, i + 1)
     rho = np.zeros(xs.size)
     rho[1:-1] = np.imag(u) / math.pi
     g = rho * rx * (rb - ra) * np.sin(theta)  # rho dx/dtheta
@@ -422,6 +701,27 @@ class LsdSolution:
                    float(doc["atom"]), support, float(doc["density_mass"]))
 
 
+# Slack of the invariant "atom and CDF in [0, 1]": the atom is exact up to
+# rounding; the CDF ends at the mass, which the trapezoid kernel at 64
+# quadrature points puts up to 1.6e-3 above 1.
+_ROUNDING_SLACK, _MASS_SLACK = 1e-12, 1e-2
+
+
+def law_range_violation(solution: LsdSolution) -> str | None:
+    """Why a solved law leaves [0, 1], or None if its atom and CDF lie in it.
+
+    A variant whose equation misses the rank-deficit atom reads a law below 0.
+    """
+    atom = solution.atom_at_zero
+    low = min(atom, float(np.min(solution.cdf_values)))
+    high = max(atom, float(np.max(solution.cdf_values)))
+    if low >= -_ROUNDING_SLACK and high <= 1.0 + _MASS_SLACK:
+        return None
+    return (f"invariant atom in [0, 1] and CDF in [0, 1] fails for variant "
+            f"{solution.variant.label} at y = {solution.y!r}: atom {atom!r}, "
+            f"CDF from {low!r} to {high!r}")
+
+
 def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
               config: SolverConfig = DEFAULT_CONFIG, grid_points: int = 1024) -> LsdSolution:
     """Full solve: support edges, density on a grid, atom at zero and CDF.
@@ -434,16 +734,16 @@ def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
-    t, w, share = _population(f, config)
+    kernel = _kernel(f, config)
     scale = variant.scale(y)
-    intervals = _support(t, w, share, scale)
+    intervals = _support(kernel, scale)
     parts, below = [], 0.0  # below: the mass of the intervals done
     for iv, n in zip(intervals, _grid_sizes(intervals, grid_points)):
-        xs, rho, mass = _interval_pass(t, w, scale, iv, n)
+        xs, rho, mass = _interval_pass(kernel, scale, iv, n)
         parts.append((xs, rho, below + mass))
         below += mass[-1]
     xs, rho, cumulative = (np.concatenate(part) for part in zip(*parts))
-    atom = float(max(0.0, 1.0 - scale * share))
+    atom = float(max(0.0, 1.0 - scale * kernel.share))
     direct = LsdSolution(float(y), replace(variant, role="direct"), xs, rho, atom + cumulative,
                          atom, (intervals[0].a, intervals[-1].b), float(below))
     return direct.in_role(variant.role)

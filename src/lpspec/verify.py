@@ -29,6 +29,7 @@ from .lsd import (
     EquationVariant,
     SolverConfig,
     all_variants,
+    law_range_violation,
     lsd_cdf,
     solve_lsd,
 )
@@ -192,7 +193,7 @@ class EnsembleReport:
         }
 
 
-def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
+def _candidate_laws(config: EnsembleConfig, y: float | None = None) -> dict:
     """Solved laws of the config's variants at ratio `y` (default: p/n): one
     solve per equation, each role read off the direct law."""
     f = spectral_density(config.replicate_spec(0))
@@ -201,8 +202,12 @@ def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     for equation in dict.fromkeys(replace(v, role="direct") for v in config.variants):
         laws[equation] = solve_lsd(f, y, variant=equation, config=config.solver,
                                    grid_points=config.grid_points)
-    return {v.label: lsd_cdf(laws[replace(v, role="direct")].in_role(v.role))
-            for v in config.variants}
+    return {v.label: laws[replace(v, role="direct")].in_role(v.role) for v in config.variants}
+
+
+def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
+    """CDFs of `_candidate_laws`."""
+    return {label: lsd_cdf(law) for label, law in _candidate_laws(config, y).items()}
 
 
 def _one_replicate(config: EnsembleConfig, replicate: int):
@@ -364,7 +369,9 @@ def calibrate_equation_variant(
         variants=variants,
         **settings,
     )
-    candidates = _candidate_cdfs(base_config)
+    laws = _candidate_laws(base_config)
+    candidates = {label: lsd_cdf(law) for label, law in laws.items()}
+    in_range = {label: law_range_violation(law) is None for label, law in laws.items()}
 
     evidence: list[dict] = []
     selections: list[str] = []
@@ -378,7 +385,7 @@ def calibrate_equation_variant(
         )
         evidence.extend(
             {"seed": int(seed), "variant": v.label, "ks_pooled": report.pooled_ks[v.label],
-             "passed": v in passing}
+             "passed": v in passing, "law_in_range": in_range[v.label]}
             for v in variants
         )
         if len(passing) != 1 or not others_fail:

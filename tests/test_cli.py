@@ -302,6 +302,24 @@ class TestSolveCommand:
         assert re.search(r"density: solve failed at x = \d", message)
         assert re.search(r"residual \d\.\d+e[+-]\d+", message)
 
+    def test_coarse_trapezoid_solve_returns_or_exits_3(self, tmp_path, monkeypatch, caplog):
+        # FARIMA at 64 quadrature points: a zero of f on the trapezoid kernel
+        from lpspec import lsd
+
+        doc = {"command": "solve", "model": {"kind": "farima", "d": -0.2}, "y": 0.5,
+               "tail_tol": 1e-6, "solver": {"quadrature_points": 64}}
+        out = tmp_path / "run"
+        assert run(["solve", "--out", str(out), "--config", write_config(tmp_path, doc)]) == 0
+        assert json.loads((out / "lsd.json").read_text())["atom"] == 0.0
+        monkeypatch.setattr(lsd, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(lsd, "_RESIDUAL_TOL", 1e-30)
+        out = tmp_path / "failed"
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run(["solve", "--out", str(out), "--config", write_config(tmp_path, doc)])
+        assert code == 3
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert re.search(r"density: solve failed at x = \d.*residual \d\.\d+e[+-]\d+", message)
+
     def test_law_outside_unit_interval_exit_code(self, tmp_path, caplog):
         # raw-y-companion of AR(1) phi = 0.9 at y = 0.5 reads an atom of -1
         out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpspec import lsd
 from lpspec.lsd import (
     DEFAULT_VARIANT,
     ConvergenceError,
@@ -14,6 +16,7 @@ from lpspec.lsd import (
     LsdSolution,
     SolverConfig,
     all_variants,
+    law_range_violation,
     lsd_cdf,
     marchenko_pastur,
     quadrature_integral,
@@ -396,19 +399,27 @@ def model_density(doc, tail_tol=1e-12):
     ],
 )
 def test_spectra_with_zeros_split_the_law_at_y_above_one(doc, tail_tol):
-    # zeros or near-zeros of f give the discrete population law small values
-    # whose clusters separate from the bulk at y = 2: each becomes its own
-    # support interval, with the density 0 at its edges
     f = model_density(doc, tail_tol)
     y = 2.0
     sol = solve_lsd(f, y)
-    # the atom of the discrete law: one minus 1/y times the share of the
+    assert np.all(np.diff(sol.cdf_values) >= 0.0)
+    if doc["kind"] != "farima":
+        # a rational f is solved exactly: f > 0 off its zeros, so the law is
+        # one interval from 0 with the exact atom 1 - 1/y
+        assert sol.atom_at_zero == 0.5
+        assert sol.support[0] == 0.0
+        assert np.all(sol.density[1:-1] > 0.0)
+        assert abs(sol.mass() - 1.0) <= 1e-6  # measured: -2.5e-7 and -5.4e-7
+        return
+    # FARIMA keeps the trapezoid: zeros or near-zeros of f give the discrete
+    # population law small values whose clusters separate from the bulk at
+    # y = 2, each its own support interval with the density 0 at its edges.
+    # The atom of the discrete law: one minus 1/y times the share of the
     # quadrature samples above the rounding level of the largest
     samples = f(np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
     share = np.count_nonzero(samples > np.finfo(float).eps * samples.max()) / samples.size
     assert sol.atom_at_zero == max(0.0, 1.0 - (1.0 / y) * share)
     assert abs(sol.atom_at_zero + sol.density_mass - 1.0) <= 1e-3
-    assert np.all(np.diff(sol.cdf_values) >= 0.0)
     assert np.count_nonzero(sol.density[1:-1] == 0.0) >= 2  # at least one inner gap
 
 
@@ -430,10 +441,110 @@ def test_random_causal_arma_laws_are_laws(roots, theta, y):
     phi = [float(-c) for c in np.real(np.poly(roots))[1:]] if roots else []
     f = model_density({"kind": "arma", "phi": phi, "theta": theta})
     sol = solve_lsd(f, y)
-    samples = f(np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
-    share = np.count_nonzero(samples > np.finfo(float).eps * samples.max()) / samples.size
-    assert sol.atom_at_zero == max(0.0, 1.0 - (1.0 / y) * share)
+    assert sol.atom_at_zero == max(0.0, 1.0 - 1.0 / y)  # f > 0 off a finite set
     assert abs(sol.mass() - 1.0) <= 1e-3
     assert np.all(np.diff(sol.grid) > 0.0)
     assert np.all(sol.density >= 0.0)
     assert np.all(np.diff(sol.cdf_values) >= 0.0)
+
+
+def kernel_at(f, s, config=SolverConfig()):
+    """K1(s) = mean(f/(1+fs)) and K2(s) = mean(f^2/(1+fs)^2) from the solver's kernel."""
+    k1, k2, _ = lsd._kernel(f, config)(np.array([complex(s)]))
+    return complex(k1[0]), complex(k2[0])
+
+
+def branch_root(square: complex, a: complex) -> complex:
+    """sqrt(square) on the branch with Re(conj(a) sqrt) > 0."""
+    root = cmath.sqrt(square)
+    return -root if (a.conjugate() * root).real < 0.0 else root
+
+
+_S = st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.01, 3.0))
+
+
+@given(phi=st.floats(-0.99, 0.99), s=_S)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_the_ar1_closed_form(phi, s):
+    # f = 1/(1 + phi^2 - 2 phi cos w): mean f/(1+fs) = 1/sqrt(A^2 - 4 phi^2), A = 1 + phi^2 + s
+    a = 1.0 + phi * phi + s
+    want = 1.0 / branch_root(a * a - 4.0 * phi * phi, a)
+    got, _ = kernel_at(SpectralDensity([1.0], [1.0, -phi]), s)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@given(theta=st.floats(-2.0, 2.0), s=_S)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_the_ma1_closed_form(theta, s):
+    # f = 1 + theta^2 + 2 theta cos w: mean f/(1+fs) = (1 - 1/sqrt(B^2 - 4 theta^2 s^2))/s,
+    # B = 1 + s (1 + theta^2)
+    b = 1.0 + s * (1.0 + theta * theta)
+    want = (1.0 - 1.0 / branch_root(b * b - 4.0 * theta * theta * s * s, b)) / s
+    got, _ = kernel_at(SpectralDensity([1.0, theta]), s)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@given(roots=_AR_ROOTS, theta=st.lists(st.floats(-1.5, 1.5), max_size=2),
+       s=st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.05, 3.0)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_of_random_causal_arma_matches_a_fine_trapezoid(roots, theta, s):
+    phi = [float(-c) for c in np.real(np.poly(roots))[1:]] if roots else []
+    f = SpectralDensity([1.0, *theta], [1.0, *(-p for p in phi)])
+    values = f(np.arange(1 << 16) * (2.0 * np.pi / (1 << 16)))
+    terms = values / (1.0 + values * s)
+    got = kernel_at(f, s)
+    for k, want in zip(got, (np.mean(terms), np.mean(terms * terms))):
+        assert abs(k - want) <= 1e-10 * abs(want)
+
+
+def test_ma_with_a_unit_root_solves_at_coarse_settings():
+    # the exact kernel reads no quadrature points, so 64 of them cannot
+    # stall the march at the zero of f
+    f = model_density({"kind": "ma", "theta": [-1.0]})
+    sol = solve_lsd(f, 0.5, variant=EquationVariant.parse("normalized-y-direct"),
+                    config=SolverConfig(quadrature_points=64), grid_points=1024)
+    assert sol.atom_at_zero == 0.5 and sol.support[0] == 0.0
+    assert abs(sol.mass() - 1.0) <= 1e-6  # measured: -2.5e-7
+    assert law_range_violation(sol) is None
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    evaluate = lsd._Population.__call__
+    monkeypatch.setattr(lsd._Population, "__call__",
+                        lambda self, s: calls.append(len(s)) or evaluate(self, s))
+    return calls
+
+
+@pytest.mark.parametrize("label", ["normalized-yinv-direct", "normalized-y-direct"])
+def test_coarse_trapezoid_with_a_zero_of_f_returns_promptly(label, monkeypatch):
+    f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
+    calls = count_kernel_calls(monkeypatch)
+    sol = solve_lsd(f, 0.5, variant=EquationVariant.parse(label),
+                    config=SolverConfig(quadrature_points=64), grid_points=1024)
+    assert law_range_violation(sol) is None
+    assert abs(sol.mass() - 1.0) <= 1e-6
+    assert len(calls) <= 2000  # measured: 197 and 317
+
+
+def test_a_march_that_never_converges_raises_promptly(monkeypatch):
+    # every Newton step fails: the split limit ends the march at the first
+    # node, and the error names the node and the residual
+    f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
+    monkeypatch.setattr(lsd, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(lsd, "_RESIDUAL_TOL", 1e-30)
+    calls = count_kernel_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match=r"density: solve failed at x = \d.*residual \d") as err:
+        solve_lsd(f, 0.5, config=SolverConfig(quadrature_points=64))
+    assert err.value.z.real > 0.0 and err.value.residual > 0.0
+    assert len(calls) <= 2 * lsd._SPLITS + 2 * lsd._BISECTIONS
+
+
+@pytest.mark.parametrize("points", [64, 65, 2048])
+def test_trapezoid_kernel_of_an_even_density_is_the_full_trapezoid(points):
+    # the kernel samples [0, pi] only, with double weight inside
+    f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
+    config = SolverConfig(quadrature_points=points)
+    for s in (0.3 + 0.7j, -0.2 + 0.05j):
+        got, _ = kernel_at(f, s, config)
+        assert abs(got - quadrature_integral(f, s, config=config)) <= 1e-13 * abs(got)

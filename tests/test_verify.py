@@ -286,6 +286,16 @@ class TestCalibration:
         labels = {e["variant"] for e in verdict.evidence}
         assert len(labels) == 8
 
+    def test_evidence_records_whether_each_law_lies_in_the_unit_interval(self):
+        # at y = 1/2 the raw-y equation has no atom, so raw-y-companion reads
+        # the atom (0 - (1 - 1/2)) / (1/2) = -1 off it
+        verdict = calibrate_equation_variant(
+            p=64, n=128, replicates=4, base_seeds=(11,), pass_threshold=0.08
+        )
+        flags = {e["variant"]: e["law_in_range"] for e in verdict.evidence}
+        assert flags["raw-y-companion"] is False
+        assert flags["normalized-yinv-direct"] is True
+
     def test_one_solve_per_equation(self, monkeypatch):
         # the role does not enter the equation: 8 variants are 4 equations
         import lpspec.verify as verify_mod
