@@ -84,7 +84,7 @@ _DEFAULTS = {
 }
 
 # smallest accepted value of an integer key
-_MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 1, "jobs": 0, "seed": 0}
+_MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 1, "jobs": 1, "seed": 0}
 # seeds are unsigned 64-bit integers
 _SEED_LIMIT = 2**64
 

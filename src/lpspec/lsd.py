@@ -389,12 +389,13 @@ class _Population:
         """Gaps (t_j, v, t_{j+1}) between neighbouring values where phi dips
         below 1 at v.  The terms of t_j and t_{j+1} alone keep phi above
         (cbrt(A) + cbrt(B))^3 / gap^2, so only gaps where that is below 1 can
-        dip; v is where sum_j w_j (t_j / (v - t_j))^3 changes sign."""
+        dip; v is where phi is least, where its slope, a negative multiple of
+        sum_j w_j t_j^2 / (v - t_j)^3, changes sign."""
         t, w = self.t, self.w
         near = scale * w * t * t
         gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
         lo, hi = t[gaps], t[gaps + 1]
-        vmin = _bisect(lambda v: -_pole_sums(v, t, w, scale, 3), lo, hi)
+        vmin = _bisect(lambda v: -_pole_sums(v, t, w / t, scale, 3), lo, hi)
         dips = _pole_sums(vmin, t, w, scale, 2) < 1.0
         return lo[dips], vmin[dips], hi[dips]
 
@@ -605,23 +606,39 @@ def _grid_sizes(intervals: list[_Interval], points: int) -> np.ndarray:
     return sizes
 
 
+def _nodes(a: float, b: float, n: int):
+    """theta, sqrt(x) and x at n nodes of a law's interval [a, b]: x =
+    (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally spaced
+    theta in [0, pi], both edges exact, and one more at a hard edge a = 0."""
+    hard = a == 0.0
+    theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
+    ra, rb = math.sqrt(a), math.sqrt(b)
+    rx = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))
+    xs = rx**2
+    xs[0], xs[-1] = a, b
+    return theta, rx, xs
+
+
+def _theta_cdf(theta: np.ndarray, rx: np.ndarray, xs: np.ndarray, rho: np.ndarray, span: float):
+    """Nodes, density and continuous mass below each node of `_nodes`, the
+    node at a hard edge dropped; span = sqrt(b) - sqrt(a).  The mass is the
+    trapezoid rule in theta, where rho dx/dtheta is smooth and vanishes at
+    both edges."""
+    g = rho * rx * span * np.sin(theta)  # rho dx/dtheta
+    mass = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta))])
+    hard = int(rx[0] == 0.0)
+    return xs[hard:], rho[hard:], mass[hard:]
+
+
 def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
     """Grid, density and continuous mass of one support interval [a, b].
 
-    The n nodes are (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at
-    equally spaced theta in [0, pi], edges included but a hard edge at 0.
-    The root is followed down about _COARSE_NODES of the inner nodes from b;
-    one batched Newton solves the rest from s sqrt(x) interpolated in theta
-    between them, and a node it leaves is followed from its neighbour above.
-    The CDF is the trapezoid rule in theta, where rho dx/dtheta is smooth and
-    vanishes at both edges.
+    On the nodes of `_nodes`, the root is followed down about _COARSE_NODES
+    of the inner nodes from b; one batched Newton solves the rest from
+    s sqrt(x) interpolated in theta between them, and a node it leaves is
+    followed from its neighbour above.
     """
-    hard = iv.a == 0.0
-    theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
-    ra, rb = math.sqrt(iv.a), math.sqrt(iv.b)
-    rx = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))
-    xs = rx**2
-    xs[0], xs[-1] = iv.a, iv.b
+    theta, rx, xs = _nodes(iv.a, iv.b, n)
     inner = xs[1:-1].astype(complex)
     u, slopes = np.zeros(inner.size, dtype=complex), np.zeros(inner.size, dtype=complex)
 
@@ -651,9 +668,7 @@ def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
             follow(i, i + 1)
     rho = np.zeros(xs.size)
     rho[1:-1] = np.imag(u) / math.pi
-    g = rho * rx * (rb - ra) * np.sin(theta)  # rho dx/dtheta
-    mass = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta))])
-    return xs[hard:], rho[hard:], mass[hard:]
+    return _theta_cdf(theta, rx, xs, rho, math.sqrt(iv.b) - math.sqrt(iv.a))
 
 
 @dataclass(frozen=True)
@@ -750,14 +765,15 @@ def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
 
 
 class _TabulatedCdf:
-    """Continuous CDF interpolated linearly through a table that starts at 0.
+    """Continuous CDF interpolated linearly through an atom at 0 and a table.
 
-    Zero below the origin, `right` beyond the last knot.
+    The leading knot (0, atom) holds the atom on [0, first knot); zero below
+    the origin, `right` beyond the last knot.
     """
 
-    def __init__(self, knots: np.ndarray, values: np.ndarray, right: float):
-        self._knots = knots
-        self._values = values
+    def __init__(self, atom: float, knots: np.ndarray, values: np.ndarray, right: float):
+        self._knots = np.concatenate([[0.0], knots])
+        self._values = np.concatenate([[atom], values])
         self._right = right
 
     def _interp(self, xs: np.ndarray) -> np.ndarray:
@@ -777,8 +793,8 @@ class _TabulatedCdf:
 
 def lsd_cdf(solution: LsdSolution) -> _TabulatedCdf:
     """CDF evaluable built from a solved law: the atom at zero, then the grid CDF."""
-    values = np.concatenate([[solution.atom_at_zero], solution.cdf_values])
-    return _TabulatedCdf(np.concatenate([[0.0], solution.grid]), values, values[-1])
+    values = solution.cdf_values
+    return _TabulatedCdf(solution.atom_at_zero, solution.grid, values, values[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -791,41 +807,22 @@ class MarchenkoPasturLaw(_TabulatedCdf):
 
     Density (2 pi sigma2 y x)^{-1} sqrt((b-x)(x-a)) on [a, b] with
     a = sigma2 (1-sqrt(y))^2, b = sigma2 (1+sqrt(y))^2, plus an atom of mass
-    max(0, 1-1/y) at zero.  The CDF table integrates the closed form under
-    the substitution x = a cos^2(t) + b sin^2(t), which removes the
-    square-root edges.
+    max(0, 1-1/y) at zero.  The CDF table integrates the closed form on the
+    solver's nodes (`_nodes`, `_theta_cdf`), hard edge at y = 1 included.
     """
 
     def __init__(self, y: float, sigma2: float = 1.0):
-        if y <= 0 or sigma2 <= 0:
-            raise ValueError("y and sigma2 must be positive")
+        if not (0.0 < y < math.inf and 0.0 < sigma2 < math.inf):
+            raise ValueError(f"y and sigma2 must be finite and positive, got {y!r} and {sigma2!r}")
         self.y = float(y)
         self.sigma2 = float(sigma2)
         root = math.sqrt(self.y)
         self.a = self.sigma2 * (1.0 - root) ** 2
         self.b = self.sigma2 * (1.0 + root) ** 2
         self.atom = max(0.0, 1.0 - 1.0 / self.y)
-        t = np.linspace(0.0, 0.5 * math.pi, _MP_TABLE_POINTS)
-        x = self.a * np.cos(t) ** 2 + self.b * np.sin(t) ** 2
-        span = self.b - self.a
-        integrand = np.zeros_like(x)
-        good = x > 0
-        integrand[good] = span**2 * np.sin(2.0 * t[good]) ** 2 / (
-            4.0 * math.pi * self.sigma2 * self.y * x[good]
-        )
-        if self.a == 0.0:
-            # hard edge: the substituted integrand has the finite limit
-            # span * cos^2(t) / (pi sigma2 y) as t -> 0
-            integrand[0] = span / (math.pi * self.sigma2 * self.y)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))]
-        )
-        # the leading (0, atom) knot interpolates to the constant atom on [0, a)
-        super().__init__(
-            np.concatenate([[0.0], x]),
-            np.concatenate([[self.atom], self.atom + cum]),
-            1.0,
-        )
+        theta, rx, xs = _nodes(self.a, self.b, _MP_TABLE_POINTS)
+        xs, _, mass = _theta_cdf(theta, rx, xs, self.density(xs), math.sqrt(self.b) - math.sqrt(self.a))
+        super().__init__(self.atom, xs, self.atom + mass, 1.0)
 
     def density(self, x):
         xs = np.asarray(x, dtype=float)

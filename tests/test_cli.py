@@ -147,6 +147,9 @@ WHITE = {"kind": "white_noise"}
         ({"command": "solve", "model": WHITE, "y": "nan"}, "'y'"),
         ({"command": "solve", "model": WHITE, "y": "1e400"}, "'y'"),
         ({"command": "study", "model": WHITE, "y": math.nan, "sizes": [8, 16]}, "'y'"),
+        # zero jobs is no "auto": solve would record it, compare not name the key
+        ({"command": "solve", "model": WHITE, "y": 1.0, "jobs": 0}, "'jobs'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "jobs": 0}, "'jobs'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
