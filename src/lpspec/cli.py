@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: simulate | solve | compare | calibrate | study.  Experiments are
+Commands: simulate | solve | compare | calibrate | study.  Experiments are
 described by a JSON config file and/or flags (flags win, with a logged
 notice).  Each command accepts only the keys it reads (`_KEYS`), so the
 manifest.json every run writes echoes only settings that took effect, plus
@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .lsd import (
@@ -84,7 +83,7 @@ _DEFAULTS = {
 }
 
 # smallest accepted value of an integer key
-_MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 1, "jobs": 1, "seed": 0}
+_MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 3, "jobs": 1, "seed": 0, "horizon": 0}
 # seeds are unsigned 64-bit integers
 _SEED_LIMIT = 2**64
 
@@ -264,7 +263,7 @@ def _json_text(doc: dict) -> str:
 def _eigenvalues_csv(report: EnsembleReport) -> str:
     rows = []
     for r, evs in enumerate(report.eigenvalues):
-        rows.extend((r, i, float(v)) for i, v in enumerate(evs))
+        rows.extend((r, i, v) for i, v in enumerate(evs.tolist()))
     return _csv_text(["replicate", "index", "lambda"], rows)
 
 
@@ -272,7 +271,7 @@ def _cmd_simulate(cfg: dict) -> dict[str, str]:
     config = _ensemble_config(cfg, variants=())
     report = run_ensemble(config, candidates={})
     pooled = report.pooled_spectrum().eigenvalues
-    esd_rows = [(float(x), (k + 1) / pooled.size) for k, x in enumerate(pooled)]
+    esd_rows = [(x, (k + 1) / pooled.size) for k, x in enumerate(pooled.tolist())]
     return {
         "eigenvalues.csv": _eigenvalues_csv(report),
         "esd.csv": _csv_text(["x", "F"], esd_rows),
@@ -297,12 +296,11 @@ def _cmd_solve(cfg: dict) -> dict[str, str]:
     violation = law_range_violation(solution)
     if violation:
         raise NumericalError(violation)
-    density_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.density)))
-    cdf_rows = list(zip((float(x) for x in solution.grid), (float(v) for v in solution.cdf_values)))
+    grid = solution.grid.tolist()
     return {
         "lsd.json": _json_text(solution.to_json()),
-        "density.csv": _csv_text(["x", "rho"], density_rows),
-        "cdf.csv": _csv_text(["x", "F"], cdf_rows),
+        "density.csv": _csv_text(["x", "rho"], zip(grid, solution.density.tolist())),
+        "cdf.csv": _csv_text(["x", "F"], zip(grid, solution.cdf_values.tolist())),
     }
 
 
@@ -367,36 +365,28 @@ _DISPATCH = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; flags may come before or after it.
+
+    A flag left out parses as None, so the config file's value stands."""
     parser = argparse.ArgumentParser(
         prog="lpspec",
         description="Spectra of segmented linear-process covariance matrices",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=str, default=None, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="base seed (u64)")
-        cmd.add_argument("--out", type=str, default=None, help="output directory")
-        cmd.add_argument("--jobs", type=int, default=None, help="concurrent replicates")
-        cmd.add_argument(
-            "--variant",
-            type=str,
-            default=None,
-            help="equation variant, {normalized|raw}-{y|yinv}-{direct|companion}",
-        )
-        cmd.add_argument("--p", type=int, default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--y", type=float, default=None)
-        cmd.add_argument("--replicates", type=int, default=None)
-        cmd.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-        cmd.add_argument(
-            "--sizes",
-            type=lambda s: [int(v) for v in s.split(",")],
-            default=None,
-            help="comma-separated size list (study)",
-        )
-        cmd.add_argument("--dump-eigenvalues", dest="dump_eigenvalues",
-                         action="store_const", const=True, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--seed", type=int, help="base seed (u64)")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--jobs", type=int, help="concurrent replicates")
+    parser.add_argument("--variant",
+                        help="equation variant, {normalized|raw}-{y|yinv}-{direct|companion}")
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--y", type=float)
+    parser.add_argument("--replicates", type=int)
+    parser.add_argument("--grid-points", type=int)
+    parser.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
+                        help="comma-separated size list (study)")
+    parser.add_argument("--dump-eigenvalues", action="store_const", const=True)
     return parser
 
 
@@ -414,7 +404,6 @@ def run(argv=None) -> int:
             "versions": {
                 "lpspec": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -473,8 +473,8 @@ class SpectralDensity:
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         e = np.exp(-1j * w)
-        num = np.polynomial.polynomial.polyval(e, self.ma_coeffs)
-        den = np.polynomial.polynomial.polyval(e, self.ar_coeffs)
+        num = np.polyval(self.ma_coeffs[::-1], e)
+        den = np.polyval(self.ar_coeffs[::-1], e)
         val = np.abs(num) ** 2 / np.abs(den) ** 2
         return val if val.shape else float(val)
 

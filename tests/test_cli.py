@@ -150,6 +150,10 @@ WHITE = {"kind": "white_noise"}
         # zero jobs is no "auto": solve would record it, compare not name the key
         ({"command": "solve", "model": WHITE, "y": 1.0, "jobs": 0}, "'jobs'"),
         ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "jobs": 0}, "'jobs'"),
+        # a negative horizon, or too few grid points for one support interval
+        ({"command": "solve", "model": WHITE, "y": 1.0, "horizon": -1}, "'horizon'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 1}, "'grid_points'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 2}, "'grid_points'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -266,6 +270,12 @@ class TestSolveCommand:
         solution = json.loads((out / "lsd.json").read_text())
         assert solution["variant"] == "normalized-yinv-direct"
         assert abs(solution["atom"]) <= 1e-3
+
+    def test_flags_before_the_command(self, tmp_path):
+        out = tmp_path / "run"
+        config = write_config(tmp_path, {"command": "solve", "model": WHITE})
+        assert run(["--y", "2.0", "--out", str(out), "solve", "--config", config]) == 0
+        assert json.loads((out / "lsd.json").read_text())["y"] == 2.0
 
     def test_missing_y_fails_validation(self, tmp_path):
         out = tmp_path / "run"
@@ -687,3 +697,62 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every command
+    # still runs, and the manifest records no scipy version
+    runs = {
+        "white": {"command": "solve", "model": WHITE, "y": 2.0, "grid_points": 64},
+        "farima": {"command": "solve", "model": {"kind": "farima", "d": -0.2}, "y": 2.0,
+                   "tail_tol": 1e-4, "grid_points": 64, "solver": {"quadrature_points": 64}},
+        "compare": {"command": "compare", "model": {"kind": "ma", "theta": [0.5]}, "p": 32, "n": 16,
+                    "replicates": 2, "grid_points": 64},
+        "simulate": {"command": "simulate", "model": {"kind": "explicit",
+                     "coefficients": [1.0, 0.5, 0.25, 0.1, 0.05, 0.02]}, "p": 16, "n": 16},
+        "study": {"command": "study", "model": {"kind": "ma", "theta": [1.0, 1.0, 1.0]}, "y": 0.5,
+                  "sizes": [16, 32], "replicates": 2, "grid_points": 64},
+        "calibrate": {"command": "calibrate", "p": 64, "n": 128, "replicates": 4, "seed": 11},
+    }
+    argvs = []
+    for name, doc in runs.items():
+        argvs.append([doc["command"], "--config", write_config(tmp_path, doc, f"{name}.json"),
+                      "--out", str(tmp_path / name)])
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lpspec.cli import run\n"
+        f"print([run(argv) for argv in {argvs!r}])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(lpspec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    codes, polynomial = proc.stdout.splitlines()
+    assert codes == str([0] * len(runs))
+    assert polynomial == "[]"
+    for name in runs:
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert set(manifest["versions"]) == {"lpspec", "numpy", "python"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # the modules the package imports at any scope, less the standard
+    # library and itself, are exactly the declared run-time dependencies
+    import ast
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "lpspec").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"lpspec"}
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in declared}
+    assert imported == names == {"numpy"}
