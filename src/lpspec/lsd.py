@@ -93,6 +93,13 @@ _BISECTIONS, _SCAN_ENTRIES, _MIN_INTERVAL_POINTS = 50, 1 << 16, 16
 _COARSE_NODES = 32
 # the highest order of a rational f whose kernel is summed by residues
 _EXACT_ORDER = 3
+# frequencies on [0, pi] that sample a rational f for its median
+_MEDIAN_SAMPLES = 512
+# an interval reaching below the median m of f is graded in decades
+# (`_nodes`) where sqrt(m) < _DECADES_BELOW sqrt(b); that grading solves no
+# node below _FLOOR b, and the law below its first node is a power law, of
+# exponent at most _TAIL_EXPONENT, through the first two nodes
+_DECADES_BELOW, _FLOOR, _TAIL_EXPONENT = 0.1, 1e-14, 0.95
 
 
 class ConvergenceError(RuntimeError):
@@ -209,7 +216,8 @@ def quadrature_integral(f, s: complex, variant: EquationVariant = DEFAULT_VARIAN
 # ---------------------------------------------------------------------------
 # The kernel: K1(s) = mean(f/(1+fs)) and K2(s) = mean(f^2/(1+fs)^2) = -K1'(s)
 # at a whole array of s.  Each kernel also knows the range [low, high] of f,
-# the share of frequencies where f > 0, and the inner gaps of its support.
+# its median, the share of frequencies where f > 0, and the inner gaps of
+# its support.
 # ---------------------------------------------------------------------------
 
 
@@ -258,8 +266,15 @@ class _Rational:
             slope = np.convolve(self.num[1:] * powers, self.den) \
                 - np.convolve(self.num, self.den[1:] * powers)
             u = np.append(u, np.clip(np.roots(slope[::-1]).real, -2.0, 2.0))
-        vals = np.polyval(self.num[::-1], u) / np.polyval(self.den[::-1], u)
-        self.low, self.high = max(float(vals.min()), 0.0), float(vals.max())
+        den = np.polyval(self.den[::-1], u)
+        vals = np.polyval(self.num[::-1], u) / den
+        # a least value within the rounding of B's terms is a zero of f
+        noise = 2.0 * (m + 1) * _EPS * np.polyval(np.abs(self.num[::-1]), np.abs(u)) / den
+        least = int(np.argmin(vals))
+        self.low = float(vals[least]) if vals[least] > noise[least] else 0.0
+        self.high = float(vals.max())
+        u = 2.0 * np.cos((np.arange(_MEDIAN_SAMPLES) + 0.5) * (math.pi / _MEDIAN_SAMPLES))
+        self.median = float(np.median(np.polyval(self.num[::-1], u) / np.polyval(self.den[::-1], u)))
 
     def __call__(self, s):
         m, num = self.order, self.num
@@ -374,6 +389,9 @@ class _Population:
         counts = np.bincount(which, weights)[positive]
         self.t, self.w, self.share = t[positive], counts / q, float(counts.sum()) / q
         self.low, self.high = float(self.t[0]), float(self.t[-1])
+        # the zero samples, a share 1 - share, lie below every t
+        half = np.searchsorted(np.cumsum(self.w), self.share - 0.5)
+        self.median = float(self.t[half]) if self.share > 0.5 else 0.0
         self.inverse = 1.0 / self.t
 
     def __call__(self, s):
@@ -606,40 +624,70 @@ def _grid_sizes(intervals: list[_Interval], points: int) -> np.ndarray:
     return sizes
 
 
-def _nodes(a: float, b: float, n: int):
-    """theta, sqrt(x) and x at n nodes of a law's interval [a, b]: x =
-    (sqrt(a) + (sqrt(b) - sqrt(a)) (1 - cos theta) / 2)^2 at equally spaced
-    theta in [0, pi], both edges exact, and one more at a hard edge a = 0."""
-    hard = a == 0.0
-    theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
+def _nodes(a: float, b: float, n: int, knee: float = math.inf):
+    """theta, sqrt(x), x and d sqrt(x)/d tau at n nodes of a law's interval
+    [a, b], tau = (1 - cos theta)/2 at equally spaced theta in [0, pi].
+
+    sqrt(x) runs from sqrt(a) to sqrt(b) linearly in tau, both edges exact,
+    with one more node at a hard edge a = 0.  With a finite knee k,
+    log(sqrt(x) + k) runs linearly in tau instead: below k^2 the nodes space
+    as before, above it evenly in log x, so a law spread over many decades
+    below b is resolved in each.  That map starts at the floor _FLOOR b
+    where a lies below it, so its first node is inside the law.
+    """
     ra, rb = math.sqrt(a), math.sqrt(b)
-    rx = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta))
+    if knee == math.inf:
+        hard = a == 0.0
+        theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
+        rx, slope = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta)), rb - ra
+    else:
+        start = max(ra, math.sqrt(_FLOOR * b))
+        theta = np.arange(n) * (math.pi / (n - 1))
+        grow = math.log((rb + knee) / (start + knee))
+        rx = start + (start + knee) * np.expm1(grow * 0.5 * (1.0 - np.cos(theta)))
+        slope = (rx + knee) * grow
     xs = rx**2
-    xs[0], xs[-1] = a, b
-    return theta, rx, xs
+    xs[-1] = b
+    if rx[0] == ra:
+        xs[0] = a
+    return theta, rx, xs, slope
 
 
-def _theta_cdf(theta: np.ndarray, rx: np.ndarray, xs: np.ndarray, rho: np.ndarray, span: float):
-    """Nodes, density and continuous mass below each node of `_nodes`, the
-    node at a hard edge dropped; span = sqrt(b) - sqrt(a).  The mass is the
-    trapezoid rule in theta, where rho dx/dtheta is smooth and vanishes at
-    both edges."""
-    g = rho * rx * span * np.sin(theta)  # rho dx/dtheta
+def _theta_cdf(theta: np.ndarray, rx: np.ndarray, xs: np.ndarray, rho: np.ndarray, slope):
+    """Nodes, density and continuous mass above the first node of `_nodes`,
+    the node at a hard edge dropped; slope = d sqrt(x)/d tau.  The mass is
+    the trapezoid rule in theta, where rho dx/dtheta is smooth and vanishes
+    at both ends."""
+    g = rho * rx * slope * np.sin(theta)  # rho dx/dtheta
     mass = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta))])
     hard = int(rx[0] == 0.0)
     return xs[hard:], rho[hard:], mass[hard:]
 
 
+def _tail_mass(a: float, xs: np.ndarray, rho: np.ndarray) -> float:
+    """Mass of the law on [a, xs[0]]: the power law rho x^-alpha through the
+    density at the first two nodes, alpha at most _TAIL_EXPONENT."""
+    alpha = min(math.log(rho[0] / rho[1]) / math.log(xs[1] / xs[0]), _TAIL_EXPONENT)
+    return float(rho[0] * xs[0] * (1.0 - (a / xs[0]) ** (1.0 - alpha)) / (1.0 - alpha))
+
+
 def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
     """Grid, density and continuous mass of one support interval [a, b].
 
-    On the nodes of `_nodes`, the root is followed down about _COARSE_NODES
-    of the inner nodes from b; one batched Newton solves the rest from
-    s sqrt(x) interpolated in theta between them, and a node it leaves is
-    followed from its neighbour above.
+    The nodes are those of `_nodes`, graded in decades above the knee
+    sqrt(median of f) where that lies below _DECADES_BELOW sqrt(b) and
+    above sqrt(a).  The
+    root is followed down about _COARSE_NODES of the nodes inside the law
+    from b; one batched Newton solves the rest from s sqrt(x) interpolated
+    in theta between them, and a node it leaves is followed from its
+    neighbour above.  A first node above a carries the mass below it
+    (`_tail_mass`).
     """
-    theta, rx, xs = _nodes(iv.a, iv.b, n)
-    inner = xs[1:-1].astype(complex)
+    knee = math.sqrt(kernel.median)
+    wide = knee < _DECADES_BELOW * math.sqrt(iv.b) and math.sqrt(iv.a) < knee
+    theta, rx, xs, slope = _nodes(iv.a, iv.b, n, knee if wide else math.inf)
+    lo = int(xs[0] == iv.a)  # 0: the first node is inside the law
+    inner = xs[lo:-1].astype(complex)
     u, slopes = np.zeros(inner.size, dtype=complex), np.zeros(inner.size, dtype=complex)
 
     def follow(i: int, j: int) -> None:  # node i from node j > i, or from b
@@ -660,15 +708,17 @@ def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
     solved[coarse] = True
     rest = np.flatnonzero(~solved)
     if rest.size:
-        at, seed = theta[1:-1], u * rx[1:-1]
+        at, root_x = theta[lo:-1], rx[lo:-1]
+        seed = u * root_x
         start = np.interp(at[rest], at[coarse], seed[coarse].real) \
             + 1j * np.interp(at[rest], at[coarse], seed[coarse].imag)
-        u[rest], slopes[rest], _, converged = _newton(kernel, scale, inner[rest], start / rx[1:-1][rest])
+        u[rest], slopes[rest], _, converged = _newton(kernel, scale, inner[rest], start / root_x[rest])
         for i in rest[~converged][::-1]:
             follow(i, i + 1)
     rho = np.zeros(xs.size)
-    rho[1:-1] = np.imag(u) / math.pi
-    return _theta_cdf(theta, rx, xs, rho, math.sqrt(iv.b) - math.sqrt(iv.a))
+    rho[lo:-1] = np.imag(u) / math.pi
+    xs, rho, mass = _theta_cdf(theta, rx, xs, rho, slope)
+    return xs, rho, mass if lo else mass + _tail_mass(iv.a, xs, rho)
 
 
 @dataclass(frozen=True)
@@ -820,8 +870,8 @@ class MarchenkoPasturLaw(_TabulatedCdf):
         self.a = self.sigma2 * (1.0 - root) ** 2
         self.b = self.sigma2 * (1.0 + root) ** 2
         self.atom = max(0.0, 1.0 - 1.0 / self.y)
-        theta, rx, xs = _nodes(self.a, self.b, _MP_TABLE_POINTS)
-        xs, _, mass = _theta_cdf(theta, rx, xs, self.density(xs), math.sqrt(self.b) - math.sqrt(self.a))
+        theta, rx, xs, slope = _nodes(self.a, self.b, _MP_TABLE_POINTS)
+        xs, _, mass = _theta_cdf(theta, rx, xs, self.density(xs), slope)
         super().__init__(self.atom, xs, self.atom + mass, 1.0)
 
     def density(self, x):

@@ -487,6 +487,11 @@ _AR_ROOTS = st.one_of(
 @given(roots=_AR_ROOTS, theta=st.lists(st.floats(-1.5, 1.5), max_size=2),
        y=st.floats(math.log(0.1), math.log(10.0)).map(math.exp))
 @settings(max_examples=20, deadline=None)
+# sqrt(x) grading lost 2.1e-3 and 1.2e-3 of the mass at the hard edge of
+# these; the third read a zero of f as 8e-17 and solved a NaN lower edge
+@example(roots=[0.875, 0.875], theta=[1.0], y=1.0)
+@example(roots=[0.5, 0.9375], theta=[1.0], y=1.0)
+@example(roots=[0.8348559379458956], theta=[1.2705904793504086, 1.0], y=1.0)
 def test_random_causal_arma_laws_are_laws(roots, theta, y):
     # 1 - phi_1 z - phi_2 z^2 = prod (1 - root z)
     phi = [float(-c) for c in np.real(np.poly(roots))[1:]] if roots else []
@@ -497,6 +502,59 @@ def test_random_causal_arma_laws_are_laws(roots, theta, y):
     assert np.all(np.diff(sol.grid) > 0.0)
     assert np.all(sol.density >= 0.0)
     assert np.all(np.diff(sol.cdf_values) >= 0.0)
+
+
+# AR(2) with a double inverse root 0.95, so f peaks sharply at 0 (f(0) =
+# 1.6e5 ma(1)^2), and an MA part with zeros on the unit circle
+@pytest.mark.parametrize("ma, bound", [
+    ([1.0, 1.0], 5e-4),  # measured: at most 1.9e-4 (7.4e-3 on sqrt(x) nodes)
+    ([1.0, 1.0, 1.0], 5e-4),  # 2.1e-4 (8.7e-3)
+    ([1.0, -1.5, 1.0], 5e-4),  # 2.0e-5 (9.9e-4)
+    ([1.0, 2.0, 1.0], 2e-3),  # a zero of order 4: 9.4e-4 (4.5e-2)
+])
+@pytest.mark.parametrize("y", [0.999, 1.0, 1.001, 1.01, 2.0, 10.0])
+def test_laws_spread_over_decades_keep_their_mass(ma, bound, y):
+    f = SpectralDensity(ma, [1.0, -1.9, 0.9025])
+    sol = solve_lsd(f, y)
+    assert abs(sol.mass() - 1.0) <= bound
+    assert np.all(np.diff(sol.grid) > 0.0) and np.all(sol.density >= 0.0)
+    if sol.support[0] < lsd._FLOOR * sol.support[1]:
+        # graded in decades down to the floor, a node inside the law that
+        # carries the mass below it
+        assert sol.grid[0] == pytest.approx(lsd._FLOOR * sol.support[1], rel=1e-12)
+        assert sol.density[0] > 0.0 and sol.cdf_values[0] > sol.atom_at_zero
+
+
+def test_tail_mass_is_exact_on_a_power_law():
+    xs = np.array([1e-10, 3e-10])
+    rho = 2.0 * xs ** (-2.0 / 3.0)
+    assert lsd._tail_mass(0.0, xs, rho) == pytest.approx(6.0 * xs[0] ** (1.0 / 3.0), rel=1e-12)
+    a = 1e-12
+    assert lsd._tail_mass(a, xs, rho) == pytest.approx(6.0 * (xs[0] ** (1.0 / 3.0) - a ** (1.0 / 3.0)),
+                                                       rel=1e-12)
+
+
+def test_rational_kernel_reads_a_zero_within_rounding_as_zero():
+    # 1 + 1.27 z + z^2 has its roots on the unit circle: f vanishes, but
+    # B/A at the least point rounds to about 8e-17
+    f = SpectralDensity([1.0, 1.2705904793504086, 1.0], [1.0, -0.8348559379458956])
+    assert lsd._kernel(f, SolverConfig()).low == 0.0
+    sol = solve_lsd(f, 1.0)
+    assert sol.support[0] == 0.0
+    assert abs(sol.mass() - 1.0) <= 1e-3
+    assert lsd._kernel(SpectralDensity([1.0, 0.5], [1.0, -0.5]), SolverConfig()).low == \
+        pytest.approx(0.25 / 2.25, rel=1e-12)
+
+
+def test_kernel_median_is_that_of_the_samples_of_f():
+    f = lambda w: np.exp(np.sin(3.0 * np.asarray(w)))  # noqa: E731
+    config = SolverConfig()
+    samples = np.sort(f(lsd._frequencies(config)))
+    assert lsd._Population(f, config).median == samples[samples.size // 2 - 1]
+    # AR(0.9): f decreases on [0, pi], its median is f(pi/2) = 1/1.81
+    ar = SpectralDensity([1.0], [1.0, -0.9])
+    assert lsd._kernel(ar, config).median == pytest.approx(1.0 / 1.81, rel=1e-2)
+    assert lsd._Population(ar, config).median == pytest.approx(1.0 / 1.81, rel=1e-2)
 
 
 def kernel_at(f, s, config=SolverConfig()):
