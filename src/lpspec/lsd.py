@@ -44,9 +44,9 @@ gives one interval and the atom max(0, 1 - r); between neighbouring t_j of
 the discrete law, phi dips below 1 twice or never (an inner gap).
 
 `solve_lsd` makes one pass per support interval [a, b]: it builds nodes
-graded in sqrt(x) by the cosine of an angle theta in [0, pi], follows the
-root down about 32 of them from the square-root expansion at b, solves the
-rest by one batched Newton from values interpolated between those, and
+graded in sqrt(x) by the cosine of an angle theta in [0, pi], solves them
+all by one batched Newton from the square-root expansion at b, follows the
+root to any node that Newton leaves from its neighbour above, and
 integrates the CDF in the same theta.
 """
 
@@ -89,8 +89,6 @@ _NOISE_CAP = 1e-8
 # bisection steps per edge, matrix entries per block of the trapezoid kernel,
 # and the grid points each support interval gets when the grid allows
 _BISECTIONS, _SCAN_ENTRIES, _MIN_INTERVAL_POINTS = 50, 1 << 16, 16
-# nodes of the sequential pass that seeds each interval's batched Newton
-_COARSE_NODES = 32
 # the highest order of a rational f whose kernel is summed by residues
 _EXACT_ORDER = 3
 # frequencies on [0, pi] that sample a rational f for its median
@@ -676,45 +674,27 @@ def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
 
     The nodes are those of `_nodes`, graded in decades above the knee
     sqrt(median of f) where that lies below _DECADES_BELOW sqrt(b) and
-    above sqrt(a).  The
-    root is followed down about _COARSE_NODES of the nodes inside the law
-    from b; one batched Newton solves the rest from s sqrt(x) interpolated
-    in theta between them, and a node it leaves is followed from its
-    neighbour above.  A first node above a carries the mass below it
-    (`_tail_mass`).
+    above sqrt(a).  One batched Newton solves every node inside the law from
+    the square-root expansion s_b + i sqrt(2 (b - x) / z''(s_b)) at b, and a
+    node it leaves is followed from its neighbour above.  A first node above
+    a carries the mass below it (`_tail_mass`).
     """
     knee = math.sqrt(kernel.median)
     wide = knee < _DECADES_BELOW * math.sqrt(iv.b) and math.sqrt(iv.a) < knee
     theta, rx, xs, slope = _nodes(iv.a, iv.b, n, knee if wide else math.inf)
     lo = int(xs[0] == iv.a)  # 0: the first node is inside the law
     inner = xs[lo:-1].astype(complex)
-    u, slopes = np.zeros(inner.size, dtype=complex), np.zeros(inner.size, dtype=complex)
-
-    def follow(i: int, j: int) -> None:  # node i from node j > i, or from b
-        above = (complex(inner[j]), complex(u[j]), complex(slopes[j])) if j < inner.size else \
-            (complex(iv.b), complex(iv.s_b), None)
+    start = iv.s_b + 1j * np.sqrt(2.0 * (iv.b - inner.real) / iv.curvature)
+    u, slopes, _, converged = _newton(kernel, scale, inner, start)
+    for i in np.flatnonzero(~converged)[::-1]:  # from node i + 1, or from b
+        above = (complex(inner[i + 1]), complex(u[i + 1]), complex(slopes[i + 1])) \
+            if i + 1 < inner.size else (complex(iv.b), complex(iv.s_b), None)
         x = complex(inner[i])
         try:
             u[i], slopes[i] = _follow(kernel, scale, *above, x, iv.curvature)
         except ConvergenceError as exc:
             raise ConvergenceError(f"density: solve failed at x = {x.real!r}: {exc}",
                                    z=x, residual=exc.residual) from exc
-
-    # distinct: the spacing is at least one node
-    coarse = np.linspace(0, inner.size - 1, min(inner.size, _COARSE_NODES)).round().astype(int)
-    for i, j in zip(coarse[::-1], np.append(inner.size, coarse[:0:-1])):
-        follow(i, j)
-    solved = np.zeros(inner.size, dtype=bool)
-    solved[coarse] = True
-    rest = np.flatnonzero(~solved)
-    if rest.size:
-        at, root_x = theta[lo:-1], rx[lo:-1]
-        seed = u * root_x
-        start = np.interp(at[rest], at[coarse], seed[coarse].real) \
-            + 1j * np.interp(at[rest], at[coarse], seed[coarse].imag)
-        u[rest], slopes[rest], _, converged = _newton(kernel, scale, inner[rest], start / root_x[rest])
-        for i in rest[~converged][::-1]:
-            follow(i, i + 1)
     rho = np.zeros(xs.size)
     rho[lo:-1] = np.imag(u) / math.pi
     xs, rho, mass = _theta_cdf(theta, rx, xs, rho, slope)

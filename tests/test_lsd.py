@@ -617,23 +617,56 @@ def test_ma_with_a_unit_root_solves_at_coarse_settings():
     assert law_range_violation(sol) is None
 
 
-def count_kernel_calls(monkeypatch):
+def count_kernel_calls(monkeypatch, kernel):
     calls = []
-    evaluate = lsd._Population.__call__
-    monkeypatch.setattr(lsd._Population, "__call__",
-                        lambda self, s: calls.append(len(s)) or evaluate(self, s))
+    evaluate = kernel.__call__
+    monkeypatch.setattr(kernel, "__call__", lambda self, s: calls.append(len(s)) or evaluate(self, s))
     return calls
+
+
+# the four laws of the benchmark's `law` workload
+@pytest.mark.parametrize("doc, y", [
+    ({"kind": "white_noise"}, 2.0),
+    ({"kind": "ma", "theta": [0.5]}, 2.0),
+    ({"kind": "ar1", "phi": 0.9}, 0.5),
+    ({"kind": "arma", "phi": [0.5], "theta": [0.4]}, 1.5),
+])
+def test_an_exact_law_is_solved_in_few_kernel_sweeps(doc, y, monkeypatch):
+    # 52 sweeps find the edges; one batched Newton solves every node
+    f = model_density(doc)
+    calls = count_kernel_calls(monkeypatch, lsd._Rational)
+    solve_lsd(f, y)
+    assert len(calls) <= 100  # measured: 70-75
+
+
+@pytest.mark.parametrize("f, y", [
+    (SpectralDensity([1.0, 0.5]), 2.0),
+    (SpectralDensity([1.0], [1.0, -0.9]), 0.5),
+    (SpectralDensity([1.0, 1.0, 1.0], [1.0, -1.9, 0.9025]), 1.0),
+])
+def test_nodes_the_batched_newton_leaves_are_followed_to_the_same_law(f, y, monkeypatch):
+    want = solve_lsd(f, y)
+    # four Newton steps leave most nodes to be followed from their neighbour
+    monkeypatch.setattr(lsd, "_MAX_ITERATIONS", 4)
+    follows = []
+    follow = lsd._follow
+    monkeypatch.setattr(lsd, "_follow", lambda *args: follows.append(args) or follow(*args))
+    got = solve_lsd(f, y)
+    assert len(follows) >= want.grid.size // 2  # measured: 664, 868 and 945 of 1024
+    np.testing.assert_array_equal(got.grid, want.grid)
+    assert np.max(np.abs(got.cdf_values - want.cdf_values)) <= 1e-10  # measured: at most 7.3e-13
+    assert got.atom_at_zero == want.atom_at_zero
 
 
 @pytest.mark.parametrize("label", ["normalized-yinv-direct", "normalized-y-direct"])
 def test_coarse_trapezoid_with_a_zero_of_f_returns_promptly(label, monkeypatch):
     f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
-    calls = count_kernel_calls(monkeypatch)
+    calls = count_kernel_calls(monkeypatch, lsd._Population)
     sol = solve_lsd(f, 0.5, variant=EquationVariant.parse(label),
                     config=SolverConfig(quadrature_points=64), grid_points=1024)
     assert law_range_violation(sol) is None
     assert abs(sol.mass() - 1.0) <= 1e-6
-    assert len(calls) <= 2000  # measured: 197 and 317
+    assert len(calls) <= 2000  # measured: 70 and 81
 
 
 def test_a_march_that_never_converges_raises_promptly(monkeypatch):
@@ -642,7 +675,7 @@ def test_a_march_that_never_converges_raises_promptly(monkeypatch):
     f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
     monkeypatch.setattr(lsd, "_MAX_ITERATIONS", 1)
     monkeypatch.setattr(lsd, "_RESIDUAL_TOL", 1e-30)
-    calls = count_kernel_calls(monkeypatch)
+    calls = count_kernel_calls(monkeypatch, lsd._Population)
     with pytest.raises(ConvergenceError, match=r"density: solve failed at x = \d.*residual \d") as err:
         solve_lsd(f, 0.5, config=SolverConfig(quadrature_points=64))
     assert err.value.z.real > 0.0 and err.value.residual > 0.0
