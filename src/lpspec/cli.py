@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import logging
 import math
@@ -249,32 +250,68 @@ def _ensemble_config(cfg: dict, variants: tuple[EquationVariant, ...]) -> Ensemb
     )
 
 
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+# json's text for the floats whose repr is no JSON number
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _floats(values) -> list[str]:
+    """Each value as its shortest round-trip repr, the text both the JSON and
+    the CSV outputs hold for a float."""
+    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+
+
+def _cells(values) -> list[str]:
+    """CSV cells: a float (np.float64 among them) as its repr, anything else by str."""
+    return [float.__repr__(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def _csv_text(header: list[str], columns) -> str:
+    """A header row, then one row per position of the equally long cell columns."""
+    row = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, zip(*columns)))
+
+
+def _records_csv(header: list[str], records) -> str:
+    """One row per record, holding its values under the header's keys."""
+    return _csv_text(header, [_cells(record[key] for record in records) for key in header])
+
+
+def _json_text(doc: dict, floats: dict[str, list[str]] | None = None) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)` and a newline, for string keys.
+
+    The `_floats` texts in `floats` stand for the doc's lists under the same
+    keys and are joined as they are, so that a long float list is formatted
+    once for every output that holds it; the other values go through json.
+    """
+    floats = floats or {}
+    items = []
+    for key in sorted(doc):
+        texts = floats.get(key)
+        if texts:
+            value = "[\n    " + ",\n    ".join(map(_JSON_NONFINITE.get, texts, texts)) + "\n  ]"
+        else:
+            value = json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
 
 
 def _eigenvalues_csv(report: EnsembleReport) -> str:
-    rows = []
+    replicate, index, value = [], [], []
     for r, evs in enumerate(report.eigenvalues):
-        rows.extend((r, i, v) for i, v in enumerate(evs.tolist()))
-    return _csv_text(["replicate", "index", "lambda"], rows)
+        replicate += [str(r)] * evs.size
+        index += map(str, range(evs.size))
+        value += _floats(evs)
+    return _csv_text(["replicate", "index", "lambda"], [replicate, index, value])
 
 
 def _cmd_simulate(cfg: dict) -> dict[str, str]:
     config = _ensemble_config(cfg, variants=())
     report = run_ensemble(config, candidates={})
     pooled = report.pooled_spectrum().eigenvalues
-    esd_rows = [(x, (k + 1) / pooled.size) for k, x in enumerate(pooled.tolist())]
+    esd = np.arange(1, pooled.size + 1) / pooled.size
     return {
         "eigenvalues.csv": _eigenvalues_csv(report),
-        "esd.csv": _csv_text(["x", "F"], esd_rows),
+        "esd.csv": _csv_text(["x", "F"], [_floats(pooled), _floats(esd)]),
     }
 
 
@@ -296,11 +333,11 @@ def _cmd_solve(cfg: dict) -> dict[str, str]:
     violation = law_range_violation(solution)
     if violation:
         raise NumericalError(violation)
-    grid = solution.grid.tolist()
+    grid, density, cdf = map(_floats, (solution.grid, solution.density, solution.cdf_values))
     return {
-        "lsd.json": _json_text(solution.to_json()),
-        "density.csv": _csv_text(["x", "rho"], zip(grid, solution.density.tolist())),
-        "cdf.csv": _csv_text(["x", "F"], zip(grid, solution.cdf_values.tolist())),
+        "lsd.json": _json_text(solution.to_json(), {"grid": grid, "density": density, "cdf": cdf}),
+        "density.csv": _csv_text(["x", "rho"], [grid, density]),
+        "cdf.csv": _csv_text(["x", "F"], [grid, cdf]),
     }
 
 
@@ -328,12 +365,8 @@ def _cmd_calibrate(cfg: dict) -> dict[str, str]:
         base_seeds=tuple(int(s) for s in seeds),
         **_settings(cfg),
     )
-    rows = [
-        (e["seed"], e["variant"], e["ks_pooled"], e["passed"])
-        for e in verdict.evidence
-    ]
     return {
-        "evidence.csv": _csv_text(["seed", "variant", "ks_pooled", "passed"], rows),
+        "evidence.csv": _records_csv(["seed", "variant", "ks_pooled", "passed"], verdict.evidence),
         "verdict.json": _json_text(verdict.to_json()),
     }
 
@@ -348,9 +381,8 @@ def _cmd_study(cfg: dict) -> dict[str, str]:
         variant=_variant(cfg),
         **_settings(cfg),
     )
-    rows = [(r["n"], r["p"], r["ks_median"], r["ks_iqr"]) for r in result.rows]
     return {
-        "trend.csv": _csv_text(["n", "p", "ks_median", "ks_iqr"], rows),
+        "trend.csv": _records_csv(["n", "p", "ks_median", "ks_iqr"], result.rows),
         "study.json": _json_text(result.to_json()),
     }
 
@@ -364,10 +396,13 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every command; flags may come before or after it.
 
-    A flag left out parses as None, so the config file's value stands."""
+    A flag left out parses as None, so the config file's value stands.  The
+    parser is built on the first call and shared by every later one: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lpspec",
         description="Spectra of segmented linear-process covariance matrices",

@@ -470,8 +470,9 @@ def _newton(kernel, scale: float, z: np.ndarray, s: np.ndarray):
     """Roots of R at the points z from starts s with Im s > 0, all at once.
 
     Each sweep evaluates the kernel once, at one trial step per unconverged
-    point; a step is kept if it stays in the upper half-plane and lowers the
-    size of R, else it is halved for the next sweep.  A point gets at most
+    point; a step is kept if it stays in the upper half-plane, lowers the
+    size of R and leaves R' finite and nonzero for the next step R/R', else
+    it is halved for the next sweep.  A point gets at most
     _MAX_ITERATIONS trials.  Returns the roots, R' there, the residual sizes
     and the mask of the points that converged.
     """
@@ -490,7 +491,7 @@ def _newton(kernel, scale: float, z: np.ndarray, s: np.ndarray):
             continue
         with np.errstate(all="ignore"):
             parts = _residual_parts(kernel, scale, trial, z[live])
-        better = parts[1] < size[live]
+        better = (parts[1] < size[live]) & np.isfinite(parts[2]) & (parts[2] != 0.0)
         keep = live[better]
         s[keep] = trial[better]
         residual[keep], size[keep], deriv[keep], floor[keep] = (part[better] for part in parts)

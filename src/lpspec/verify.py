@@ -223,6 +223,14 @@ def _one_replicate(config: EnsembleConfig, replicate: int):
     return np.clip(evs, 0.0, None), trace_stat
 
 
+def _distance_tables(cdf: EmpiricalCdf, candidates: dict) -> tuple[dict, dict]:
+    """KS and W1 distances of `cdf` to each candidate law.  The two distances
+    of a pair are taken one after the other, so they share one evaluation
+    of the pair's knots."""
+    pairs = [(label, ks_distance(cdf, law), wasserstein1(cdf, law)) for label, law in candidates.items()]
+    return {label: ks for label, ks, _ in pairs}, {label: w1 for label, _, w1 in pairs}
+
+
 def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> EnsembleReport:
     """Simulate, decompose and compare each replicate against candidate laws.
 
@@ -258,14 +266,12 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
         evs, trace_stat = result
         eigenvalues.append(evs)
         trace_stats.append(trace_stat)
-        ecdf = EmpiricalCdf(evs)
-        per_ks.append({label: ks_distance(ecdf, law) for label, law in candidates.items()})
-        per_w1.append({label: wasserstein1(ecdf, law) for label, law in candidates.items()})
+        ks, w1 = _distance_tables(EmpiricalCdf(evs), candidates)
+        per_ks.append(ks)
+        per_w1.append(w1)
     if not eigenvalues:
         raise EigensolverError(f"eigensolve: all {config.replicates} replicates failed")
-    pooled = EmpiricalCdf(np.concatenate(eigenvalues))
-    pooled_ks = {label: ks_distance(pooled, law) for label, law in candidates.items()}
-    pooled_w1 = {label: wasserstein1(pooled, law) for label, law in candidates.items()}
+    pooled_ks, pooled_w1 = _distance_tables(EmpiricalCdf(np.concatenate(eigenvalues)), candidates)
     return EnsembleReport(
         config=config.to_json(),
         replicate_seeds=tuple(derive_seed(config.base_seed, r) for r in range(config.replicates)),

@@ -348,6 +348,95 @@ class TestSolveCommand:
         assert "raw-y-companion" in message and "y = 0.5" in message
 
 
+# SHA-256 of the files `solve` wrote for each law before the writers shared
+# their float texts: the four laws of the benchmark's `law` workload and one
+# trapezoid-kernel law.  The solve is deterministic, so they pin every byte.
+SOLVE_DIGESTS = {
+    "white": ({"kind": "white_noise"}, 2.0, {}, {
+        "lsd.json": "eccfa4a379e646899bae8b7dc2db1a47e7b4946e0c2f8af8f1b19c9cfdc97675",
+        "density.csv": "31f61f6af669f183cc64499f4d2cc9f67992e688e841f313ee7ae796115ae21e",
+        "cdf.csv": "6dfe869ce23844e69292146ddad11dbada5224ad75c4eceadd1c69ee829583aa"}),
+    "ma": ({"kind": "ma", "theta": [0.5]}, 2.0, {}, {
+        "lsd.json": "89c4b1faa45452b4ecc5754bf748ef1a962f326a46b4cb68e8f63043cad9dd30",
+        "density.csv": "d94df669608cc664d24cae895ec06204f1a1eea035372c4cc65073c62df4b4ee",
+        "cdf.csv": "9363df15018748260c5227743a6dc5814f8f22db05511aa469b7b712080664c6"}),
+    "ar1": ({"kind": "ar1", "phi": 0.9}, 0.5, {}, {
+        "lsd.json": "492264972ffd892936bb42298c36cbf59b854a4b8f2f36f09d05eb31e2ed03c5",
+        "density.csv": "6664c88e39f0bbab9dc9071adc435eefd75a70357f5af492efc7a3992a4b3d9a",
+        "cdf.csv": "560ef54163dcfc05460a4e3fa4be0bd43e5066c5bfbf1685c03fb3d1b1822b6b"}),
+    "arma": ({"kind": "arma", "phi": [0.5], "theta": [0.4]}, 1.5, {}, {
+        "lsd.json": "5521dee491e383232c4185a9030229fff9365af106899473d7a320cbc05f5ea5",
+        "density.csv": "2a5eed700a40cf833e65ea4ffac014e6c56a77592b6ff42e01f8425216b947d1",
+        "cdf.csv": "dfba030c18f2b4dce8fe8f37413a176e28d4c08cb9fb2642d1e882c147ed6715"}),
+    "farima": ({"kind": "farima", "d": -0.2}, 1.5, {"tail_tol": 1e-6}, {
+        "lsd.json": "b14096970f138ecff264e596d614f3c88fb3972de85e94630ff88d1d63b7b419",
+        "density.csv": "40d31fcc51db5508e15e268b595d0f3d2db21d1e257d32bd7108d924a3eba8fc",
+        "cdf.csv": "0a56a50b4ea7b2b040a6d7693b63b42a9edd10e1e09cf6dc834f698d8947faa2"}),
+}
+
+
+class TestOutputText:
+    FLOATS = [0.5, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, math.nan, math.inf, -math.inf]
+
+    def test_json_writer_is_json_dumps(self):
+        from lpspec.cli import _floats, _json_text
+
+        docs = [
+            {},
+            {"floats": self.FLOATS, "ints": [0, -7, 2**64 - 1], "flags": [True, False],
+             "text": "a \"quoted\"\nline, caf\u00e9", "none": None, "empty": [], "nothing": {},
+             "nested": {"b": [[], [1.5, [{}]], {"z": {"y": [math.nan]}}], "a": {"x": -0.0}},
+             "scalar": 1e-7},
+        ]
+        for doc in docs:
+            assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        lists = {"grid": self.FLOATS, "empty": [], "one": [2.5]}
+        doc = {**lists, "atom": 0.25, "support": [0.0, 1.0]}
+        texts = {key: _floats(values) for key, values in lists.items()}
+        assert _json_text(doc, texts) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_csv_writer_keeps_the_cell_rule(self):
+        from lpspec.cli import _cells, _csv_text, _floats
+
+        rows = [(3, "normalized-y-direct", 0.1, True), (2**64 - 1, "raw", np.float64(1e-17), False),
+                *((k, "x", v, None) for k, v in enumerate(self.FLOATS))]
+        # repr for floats and str otherwise; an np.float64 is written as the
+        # number it holds, not as numpy's repr "np.float64(...)"
+        want = "a,b,c,d\n" + "".join(
+            ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+        assert _csv_text(["a", "b", "c", "d"], map(_cells, zip(*rows))) == want
+        assert _floats(np.array(self.FLOATS)) == _cells(self.FLOATS)
+        assert _csv_text(["x", "F"], [[], []]) == "x,F\n"
+
+    @pytest.mark.parametrize("law", sorted(SOLVE_DIGESTS))
+    def test_solve_outputs_keep_their_bytes(self, tmp_path, law):
+        import hashlib
+
+        model, y, extra, digests = SOLVE_DIGESTS[law]
+        out = tmp_path / law
+        config = write_config(tmp_path, {"command": "solve", "model": model, "y": y, **extra})
+        assert run(["solve", "--config", config, "--out", str(out),
+                    "--variant", "normalized-yinv-direct"]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
+
+
+def test_cached_parser_keeps_no_state_between_runs(tmp_path):
+    from lpspec.cli import build_parser
+
+    assert build_parser() is build_parser()
+    config = write_config(tmp_path, {"command": "solve", "model": WHITE, "y": 2.0})
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["solve", "--config", config, "--out", str(first), "--y", "0.5",
+                "--grid-points", "64"]) == 0
+    assert run(["solve", "--config", config, "--out", str(second)]) == 0
+    configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (first, second)]
+    assert (configs[0]["y"], configs[0]["grid_points"]) == (0.5, 64)
+    assert (configs[1]["y"], configs[1]["grid_points"]) == (2.0, 1024)
+    assert len(json.loads((second / "lsd.json").read_text())["grid"]) == 1024
+
+
 class TestSimulateCommand:
     def test_outputs_and_headers(self, tmp_path):
         out = tmp_path / "run"

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -455,6 +456,19 @@ def test_spectra_with_zeros_split_the_law_at_y_above_one(doc, tail_tol):
     assert sol.atom_at_zero == max(0.0, 1.0 - (1.0 / y) * share)
     assert abs(sol.atom_at_zero + sol.density_mass - 1.0) <= 1e-3
     assert np.count_nonzero(sol.density[1:-1] == 0.0) >= 2  # at least one inner gap
+
+
+@pytest.mark.parametrize("z, root", [(2.0 + 2e-6j, -0.5401556708555627 + 0.379641512481538j),
+                                     (2.0 + 2e-9j, -0.5401561012512346 + 0.3796413842618218j)])
+def test_trapezoid_root_near_the_axis_takes_no_nan_step(z, root):
+    # Newton from -1/z tries s near 1e180, where |R| = |z| is smaller than at
+    # the start but R'(s) = -1/s^2 + scale K2 is nan: the next step R/R' was
+    # an invalid division
+    f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = solve_stieltjes(f, 1.5, z)
+    assert abs(s - root) <= 1e-9
 
 
 @pytest.mark.parametrize("y", [1.156, 1.178, 1.201])
