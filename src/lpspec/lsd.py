@@ -44,10 +44,13 @@ gives one interval and the atom max(0, 1 - r); between neighbouring t_j of
 the discrete law, phi dips below 1 twice or never (an inner gap).
 
 `solve_lsd` makes one pass per support interval [a, b]: it builds nodes
-graded in sqrt(x) by the cosine of an angle theta in [0, pi], solves them
-all by one batched Newton from the square-root expansion at b, follows the
-root to any node that Newton leaves from its neighbour above, and
-integrates the CDF in the same theta.
+cosine-graded in sqrt(x), solves them all by one batched Newton from the
+square-root expansion at b, and follows the root to any node that Newton
+leaves from its neighbour above.  The density is Im s / pi, and the CDF is
+read off the same root (integrate Im s dz by parts, z = -1/s + r K(s) with
+K = d/ds mean log(1 + fs)): F(x) = (x Im s + arg s - r mean arg(1 + fs)) / pi,
+with principal arguments, in [0, pi] as s and 1 + fs lie in the closed
+upper half-plane.  At b, s < -1/max f is real, so F(b) = 1.
 """
 
 from __future__ import annotations
@@ -95,9 +98,8 @@ _EXACT_ORDER = 3
 _MEDIAN_SAMPLES = 512
 # an interval reaching below the median m of f is graded in decades
 # (`_nodes`) where sqrt(m) < _DECADES_BELOW sqrt(b); that grading solves no
-# node below _FLOOR b, and the law below its first node is a power law, of
-# exponent at most _TAIL_EXPONENT, through the first two nodes
-_DECADES_BELOW, _FLOOR, _TAIL_EXPONENT = 0.1, 1e-14, 0.95
+# node below _FLOOR b
+_DECADES_BELOW, _FLOOR = 0.1, 1e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -213,9 +215,9 @@ def quadrature_integral(f, s: complex, variant: EquationVariant = DEFAULT_VARIAN
 
 # ---------------------------------------------------------------------------
 # The kernel: K1(s) = mean(f/(1+fs)) and K2(s) = mean(f^2/(1+fs)^2) = -K1'(s)
-# at a whole array of s.  Each kernel also knows the range [low, high] of f,
-# its median, the share of frequencies where f > 0, and the inner gaps of
-# its support.
+# and the mean of arg(1 + fs) (`arg_mean`) at a whole array of s.  Each
+# kernel also knows the range [low, high] of f, its median, the share of
+# frequencies where f > 0, and the inner gaps of its support.
 # ---------------------------------------------------------------------------
 
 
@@ -274,6 +276,28 @@ class _Rational:
         u = 2.0 * np.cos((np.arange(_MEDIAN_SAMPLES) + 0.5) * (math.pi / _MEDIAN_SAMPLES))
         self.median = float(np.median(np.polyval(self.num[::-1], u) / np.polyval(self.den[::-1], u)))
 
+    def _roots(self, q: np.ndarray) -> np.ndarray:
+        """The m roots u_k of Q at each row of q, at order 2 without cancellation."""
+        m = self.order
+        if m < 2:
+            return -q[:, :m] / q[:, m:]
+        if m == 2:
+            d = np.sqrt(q[:, 1] ** 2 - 4.0 * q[:, 2] * q[:, 0])
+            t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * d).real < 0.0, -d, d))
+            return np.column_stack([t / q[:, 2], q[:, 0] / t])
+        companion = np.zeros((q.shape[0], m, m), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(m - 1)
+        companion[:, :, -1] = -q[:, :m] / q[:, m:]
+        return np.linalg.eigvals(companion)
+
+    def arg_mean(self, s) -> np.ndarray:
+        """mean over w of arg(1 + fs) = Arg(q_m prod_k -(u_k + w_k)/2): the
+        mean of log(u - u_k) is log(-(u_k + w_k)/2), w_k = `_branch(u_k)`,
+        that of log A is real, and A + sB does not wind around 0."""
+        q = self.den + np.asarray(s, dtype=complex)[:, None] * self.num
+        u = self._roots(q)
+        return np.angle(q[:, -1] * np.prod(-0.5 * (u + _branch(u)), axis=1))
+
     def __call__(self, s):
         m, num = self.order, self.num
         q = self.den + np.asarray(s, dtype=complex)[:, None] * num  # Q, ascending in u
@@ -281,7 +305,7 @@ class _Rational:
         if m == 0:
             return c, c * c, _EPS * np.abs(c)
         if m == 1:  # one pole: no pairs, and the root is off by eps 2|u|
-            u = -q[:, 0] / q[:, 1]
+            u = self._roots(q)[:, 0]
             r = (num[0] + num[1] * u) / q[:, 1]
             w = _branch(u)
             rg, rdg = -r / w, r * u / w**3
@@ -289,10 +313,7 @@ class _Rational:
             return c + rg, c * c + 2.0 * c * rg + r * rdg, noise
         if m == 2:
             return self._quadratic(q, c)
-        companion = np.zeros((q.shape[0], m, m), dtype=complex)
-        companion[:, 1:, :-1] = np.eye(m - 1)
-        companion[:, :, -1] = -q[:, :m] / q[:, m:]
-        u = np.linalg.eigvals(companion)
+        u = self._roots(q)
         diff = u[:, :, None] - u[:, None, :]
         diff[:, range(m), range(m)] = 1.0
         slope = q[:, m:] * diff.prod(axis=2)  # Q'(u_k)
@@ -326,9 +347,7 @@ class _Rational:
         + (B^2 g)[u1, u1, u2, u2]/q2^2, with the divided differences of the
         product by Leibniz's rule; elsewhere the partial fractions."""
         num, q2 = self.num, q[:, 2]
-        d = np.sqrt(q[:, 1] ** 2 - 4.0 * q2 * q[:, 0])
-        t = -0.5 * (q[:, 1] + np.where((q[:, 1].conj() * d).real < 0.0, -d, d))
-        u1, u2 = t / q2, q[:, 0] / t  # each root without cancellation
+        u1, u2 = self._roots(q).T
         w1, w2 = _branch(u1), _branch(u2)
         g1, g2, dg1, dg2 = -1.0 / w1, -1.0 / w2, u1 / w1**3, u2 / w2**3
         b1, b2 = (num[0] + (num[1] + num[2] * u) * u for u in (u1, u2))
@@ -400,6 +419,11 @@ class _Population:
             sums.append((a @ self.w, (a * a) @ self.w))
         k1, k2 = (np.concatenate(part) for part in zip(*sums))
         return k1, k2, _EPS * np.abs(k1)
+
+    def arg_mean(self, s) -> np.ndarray:
+        """mean of arg(1 + fs), in the blocks of `__call__`."""
+        blocks = np.array_split(s, 1 + s.size * self.t.size // _SCAN_ENTRIES)
+        return np.concatenate([np.angle(1.0 + self.t * b[:, None]) @ self.w for b in blocks])
 
     def gaps(self, scale: float):
         """Gaps (t_j, v, t_{j+1}) between neighbouring values where phi dips
@@ -623,66 +647,45 @@ def _grid_sizes(intervals: list[_Interval], points: int) -> np.ndarray:
     return sizes
 
 
-def _nodes(a: float, b: float, n: int, knee: float = math.inf):
-    """theta, sqrt(x), x and d sqrt(x)/d tau at n nodes of a law's interval
-    [a, b], tau = (1 - cos theta)/2 at equally spaced theta in [0, pi].
+def _nodes(a: float, b: float, n: int, knee: float = math.inf) -> np.ndarray:
+    """n nodes x of a law's interval [a, b], tau = (1 - cos theta)/2 at
+    equally spaced theta in [0, pi].
 
     sqrt(x) runs from sqrt(a) to sqrt(b) linearly in tau, both edges exact,
-    with one more node at a hard edge a = 0.  With a finite knee k,
-    log(sqrt(x) + k) runs linearly in tau instead: below k^2 the nodes space
-    as before, above it evenly in log x, so a law spread over many decades
-    below b is resolved in each.  That map starts at the floor _FLOOR b
+    but at a hard edge a = 0 the node at 0, one of n + 1, is left out.  With
+    a finite knee k, log(sqrt(x) + k) runs linearly in tau instead: below
+    k^2 the nodes space as before, above it evenly in log x, so a law spread
+    over many decades below b is resolved in each.  That map starts at the floor _FLOOR b
     where a lies below it, so its first node is inside the law.
     """
     ra, rb = math.sqrt(a), math.sqrt(b)
+    hard = knee == math.inf and a == 0.0
+    tau = 0.5 * (1.0 - np.cos(np.arange(n + hard) * (math.pi / (n - 1 + hard))))
     if knee == math.inf:
-        hard = a == 0.0
-        theta = np.arange(n + hard) * (math.pi / (n - 1 + hard))
-        rx, slope = ra + (rb - ra) * 0.5 * (1.0 - np.cos(theta)), rb - ra
+        rx = ra + (rb - ra) * tau
     else:
         start = max(ra, math.sqrt(_FLOOR * b))
-        theta = np.arange(n) * (math.pi / (n - 1))
-        grow = math.log((rb + knee) / (start + knee))
-        rx = start + (start + knee) * np.expm1(grow * 0.5 * (1.0 - np.cos(theta)))
-        slope = (rx + knee) * grow
+        rx = start + (start + knee) * np.expm1(math.log((rb + knee) / (start + knee)) * tau)
     xs = rx**2
     xs[-1] = b
     if rx[0] == ra:
         xs[0] = a
-    return theta, rx, xs, slope
+    return xs[hard:]
 
 
-def _theta_cdf(theta: np.ndarray, rx: np.ndarray, xs: np.ndarray, rho: np.ndarray, slope):
-    """Nodes, density and continuous mass above the first node of `_nodes`,
-    the node at a hard edge dropped; slope = d sqrt(x)/d tau.  The mass is
-    the trapezoid rule in theta, where rho dx/dtheta is smooth and vanishes
-    at both ends."""
-    g = rho * rx * slope * np.sin(theta)  # rho dx/dtheta
-    mass = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta))])
-    hard = int(rx[0] == 0.0)
-    return xs[hard:], rho[hard:], mass[hard:]
-
-
-def _tail_mass(a: float, xs: np.ndarray, rho: np.ndarray) -> float:
-    """Mass of the law on [a, xs[0]]: the power law rho x^-alpha through the
-    density at the first two nodes, alpha at most _TAIL_EXPONENT."""
-    alpha = min(math.log(rho[0] / rho[1]) / math.log(xs[1] / xs[0]), _TAIL_EXPONENT)
-    return float(rho[0] * xs[0] * (1.0 - (a / xs[0]) ** (1.0 - alpha)) / (1.0 - alpha))
-
-
-def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
-    """Grid, density and continuous mass of one support interval [a, b].
+def _interval_pass(kernel, scale: float, iv: _Interval, n: int, below: float):
+    """Grid, density and CDF of one support interval [a, b]; F(a) = below.
 
     The nodes are those of `_nodes`, graded in decades above the knee
     sqrt(median of f) where that lies below _DECADES_BELOW sqrt(b) and
     above sqrt(a).  One batched Newton solves every node inside the law from
     the square-root expansion s_b + i sqrt(2 (b - x) / z''(s_b)) at b, and a
-    node it leaves is followed from its neighbour above.  A first node above
-    a carries the mass below it (`_tail_mass`).
+    node it leaves is followed from its neighbour above.  The CDF at each
+    node inside the law and at b is read off its root (module docstring).
     """
     knee = math.sqrt(kernel.median)
     wide = knee < _DECADES_BELOW * math.sqrt(iv.b) and math.sqrt(iv.a) < knee
-    theta, rx, xs, slope = _nodes(iv.a, iv.b, n, knee if wide else math.inf)
+    xs = _nodes(iv.a, iv.b, n, knee if wide else math.inf)
     lo = int(xs[0] == iv.a)  # 0: the first node is inside the law
     inner = xs[lo:-1].astype(complex)
     start = iv.s_b + 1j * np.sqrt(2.0 * (iv.b - inner.real) / iv.curvature)
@@ -696,10 +699,11 @@ def _interval_pass(kernel, scale: float, iv: _Interval, n: int):
         except ConvergenceError as exc:
             raise ConvergenceError(f"density: solve failed at x = {x.real!r}: {exc}",
                                    z=x, residual=exc.residual) from exc
-    rho = np.zeros(xs.size)
-    rho[lo:-1] = np.imag(u) / math.pi
-    xs, rho, mass = _theta_cdf(theta, rx, xs, rho, slope)
-    return xs, rho, mass if lo else mass + _tail_mass(iv.a, xs, rho)
+    roots = np.append(u, iv.s_b)  # real at b, where the density is 0
+    rho, cdf = np.zeros(xs.size), np.full(xs.size, below)
+    rho[lo:] = roots.imag / math.pi
+    cdf[lo:] = (xs[lo:] * roots.imag + np.angle(roots) - scale * kernel.arg_mean(roots)) / math.pi
+    return xs, rho, cdf
 
 
 @dataclass(frozen=True)
@@ -713,11 +717,10 @@ class LsdSolution:
     cdf_values: np.ndarray
     atom_at_zero: float
     support: tuple[float, float]
-    density_mass: float
 
     def mass(self) -> float:
-        """Atom plus the density integrated over the support."""
-        return self.atom_at_zero + self.density_mass
+        """The CDF at the upper edge of the support."""
+        return float(self.cdf_values[-1])
 
     def in_role(self, role: str) -> "LsdSolution":
         """This direct-role law read in `role`.  The companion law, of the
@@ -731,26 +734,22 @@ class LsdSolution:
         r = variant.effective_ratio(self.y)
         return LsdSolution(self.y, variant, self.grid, self.density / r,
                            (self.cdf_values - (1.0 - r)) / r, (self.atom_at_zero - (1.0 - r)) / r,
-                           self.support, self.density_mass / r)
+                           self.support)
 
     def to_json(self) -> dict:
         return {"y": self.y, "variant": self.variant.label, "grid": self.grid.tolist(),
                 "density": self.density.tolist(), "cdf": self.cdf_values.tolist(),
-                "atom": self.atom_at_zero, "support": list(self.support),
-                "density_mass": self.density_mass}
+                "atom": self.atom_at_zero, "support": list(self.support)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LsdSolution":
         arrays = [np.asarray(doc[key], dtype=float) for key in ("grid", "density", "cdf")]
-        support = tuple(map(float, doc["support"]))
         return cls(float(doc["y"]), EquationVariant.parse(doc["variant"]), *arrays,
-                   float(doc["atom"]), support, float(doc["density_mass"]))
+                   float(doc["atom"]), tuple(map(float, doc["support"])))
 
 
-# Slack of the invariant "atom and CDF in [0, 1]": the atom is exact up to
-# rounding; the CDF ends at the mass, which the trapezoid kernel at 64
-# quadrature points puts up to 1.6e-3 above 1.
-_ROUNDING_SLACK, _MASS_SLACK = 1e-12, 1e-2
+# Slack of the invariant "atom and CDF in [0, 1]": both are exact up to rounding
+_ROUNDING_SLACK = 1e-12
 
 
 def law_range_violation(solution: LsdSolution) -> str | None:
@@ -761,7 +760,7 @@ def law_range_violation(solution: LsdSolution) -> str | None:
     atom = solution.atom_at_zero
     low = min(atom, float(np.min(solution.cdf_values)))
     high = max(atom, float(np.max(solution.cdf_values)))
-    if low >= -_ROUNDING_SLACK and high <= 1.0 + _MASS_SLACK:
+    if low >= -_ROUNDING_SLACK and high <= 1.0 + _ROUNDING_SLACK:
         return None
     return (f"invariant atom in [0, 1] and CDF in [0, 1] fails for variant "
             f"{solution.variant.label} at y = {solution.y!r}: atom {atom!r}, "
@@ -773,25 +772,23 @@ def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
     """Full solve: support edges, density on a grid, atom at zero and CDF.
 
     The grid is `grid_points` nodes over the support intervals, one pass
-    (`_interval_pass`) per interval.  The atom is exact, and nothing is
-    clipped or renormalized: 1 - mass() is the quadrature error of the
-    density.  The support is the hull of the support intervals.  The direct
-    law is solved and the variant's role read off it (`LsdSolution.in_role`).
+    (`_interval_pass`) per interval.  The atom is exact, the CDF at each
+    node is read off its root, and nothing is clipped or renormalized.  The
+    support is the hull of the support intervals.  The direct law is solved
+    and the variant's role read off it (`LsdSolution.in_role`).
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
     kernel = _kernel(f, config)
     scale = variant.scale(y)
     intervals = _support(kernel, scale)
-    parts, below = [], 0.0  # below: the mass of the intervals done
-    for iv, n in zip(intervals, _grid_sizes(intervals, grid_points)):
-        xs, rho, mass = _interval_pass(kernel, scale, iv, n)
-        parts.append((xs, rho, below + mass))
-        below += mass[-1]
-    xs, rho, cumulative = (np.concatenate(part) for part in zip(*parts))
     atom = float(max(0.0, 1.0 - scale * kernel.share))
-    direct = LsdSolution(float(y), replace(variant, role="direct"), xs, rho, atom + cumulative,
-                         atom, (intervals[0].a, intervals[-1].b), float(below))
+    parts = []
+    for iv, n in zip(intervals, _grid_sizes(intervals, grid_points)):
+        parts.append(_interval_pass(kernel, scale, iv, n, parts[-1][2][-1] if parts else atom))
+    xs, rho, cdf = (np.concatenate(part) for part in zip(*parts))
+    direct = LsdSolution(float(y), replace(variant, role="direct"), xs, rho, cdf, atom,
+                         (intervals[0].a, intervals[-1].b))
     return direct.in_role(variant.role)
 
 
@@ -838,8 +835,9 @@ class MarchenkoPasturLaw(_TabulatedCdf):
 
     Density (2 pi sigma2 y x)^{-1} sqrt((b-x)(x-a)) on [a, b] with
     a = sigma2 (1-sqrt(y))^2, b = sigma2 (1+sqrt(y))^2, plus an atom of mass
-    max(0, 1-1/y) at zero.  The CDF table integrates the closed form on the
-    solver's nodes (`_nodes`, `_theta_cdf`), hard edge at y = 1 included.
+    max(0, 1-1/y) at zero.  The CDF is tabled on the solver's nodes
+    (`_nodes`), hard edge at y = 1 included, by the identity of the module
+    docstring at the closed-form root m of z = -1/m + 1/(1 + y m) (unit scale).
     """
 
     def __init__(self, y: float, sigma2: float = 1.0):
@@ -851,9 +849,11 @@ class MarchenkoPasturLaw(_TabulatedCdf):
         self.a = self.sigma2 * (1.0 - root) ** 2
         self.b = self.sigma2 * (1.0 + root) ** 2
         self.atom = max(0.0, 1.0 - 1.0 / self.y)
-        theta, rx, xs, slope = _nodes(self.a, self.b, _MP_TABLE_POINTS)
-        xs, _, mass = _theta_cdf(theta, rx, xs, self.density(xs), slope)
-        super().__init__(self.atom, xs, self.atom + mass, 1.0)
+        xs = _nodes(self.a, self.b, _MP_TABLE_POINTS)
+        w, y = xs / self.sigma2, self.y
+        m = -(w + y - 1.0) / (2.0 * y * w) + 1j * math.pi * self.sigma2 * self.density(xs)
+        cdf = (w * m.imag + np.angle(m) - np.angle(1.0 + y * m) / y) / math.pi
+        super().__init__(self.atom, xs, cdf, 1.0)
 
     def density(self, x):
         xs = np.asarray(x, dtype=float)

@@ -348,30 +348,32 @@ class TestSolveCommand:
         assert "raw-y-companion" in message and "y = 0.5" in message
 
 
-# SHA-256 of the files `solve` wrote for each law before the writers shared
-# their float texts: the four laws of the benchmark's `law` workload and one
-# trapezoid-kernel law.  The solve is deterministic, so they pin every byte.
+# SHA-256 of the files `solve` writes for the four laws of the benchmark's
+# `law` workload and one trapezoid-kernel law.  The solve is deterministic,
+# so they pin every byte.  The density.csv digests date from before the
+# writers shared their float texts; lsd.json and cdf.csv changed when the
+# CDF came to be read off the solved roots.
 SOLVE_DIGESTS = {
     "white": ({"kind": "white_noise"}, 2.0, {}, {
-        "lsd.json": "eccfa4a379e646899bae8b7dc2db1a47e7b4946e0c2f8af8f1b19c9cfdc97675",
+        "lsd.json": "14be67a4e8bbe03b947797dd926f0f8296eba5b9a5b1fe7e549425b4aa065101",
         "density.csv": "31f61f6af669f183cc64499f4d2cc9f67992e688e841f313ee7ae796115ae21e",
-        "cdf.csv": "6dfe869ce23844e69292146ddad11dbada5224ad75c4eceadd1c69ee829583aa"}),
+        "cdf.csv": "5a7795221a6f0efe7ed6b69ea955e7b8d47e0c511600981417086b2f8694b3fd"}),
     "ma": ({"kind": "ma", "theta": [0.5]}, 2.0, {}, {
-        "lsd.json": "89c4b1faa45452b4ecc5754bf748ef1a962f326a46b4cb68e8f63043cad9dd30",
+        "lsd.json": "6e095436c069466838f2ff10d9bbb864af9c10c08c3ca65f633a607f0437f712",
         "density.csv": "d94df669608cc664d24cae895ec06204f1a1eea035372c4cc65073c62df4b4ee",
-        "cdf.csv": "9363df15018748260c5227743a6dc5814f8f22db05511aa469b7b712080664c6"}),
+        "cdf.csv": "97c184f1dda08b30e502373d6f1d0eda5577a54ade1dcdd761558c4901a8bc38"}),
     "ar1": ({"kind": "ar1", "phi": 0.9}, 0.5, {}, {
-        "lsd.json": "492264972ffd892936bb42298c36cbf59b854a4b8f2f36f09d05eb31e2ed03c5",
+        "lsd.json": "6b5c7f971418eac626d84c75f012399a76410b75133ae81fe981c62be527157d",
         "density.csv": "6664c88e39f0bbab9dc9071adc435eefd75a70357f5af492efc7a3992a4b3d9a",
-        "cdf.csv": "560ef54163dcfc05460a4e3fa4be0bd43e5066c5bfbf1685c03fb3d1b1822b6b"}),
+        "cdf.csv": "0d6de71c4189523fc6cdba9465768640692c3d6a08945d5fd5be1fc64fa0ae9a"}),
     "arma": ({"kind": "arma", "phi": [0.5], "theta": [0.4]}, 1.5, {}, {
-        "lsd.json": "5521dee491e383232c4185a9030229fff9365af106899473d7a320cbc05f5ea5",
+        "lsd.json": "c7bb2b90aef6baad45b03ebf20ad54540bbcbc4353265904a81a7a3edc972071",
         "density.csv": "2a5eed700a40cf833e65ea4ffac014e6c56a77592b6ff42e01f8425216b947d1",
-        "cdf.csv": "dfba030c18f2b4dce8fe8f37413a176e28d4c08cb9fb2642d1e882c147ed6715"}),
+        "cdf.csv": "dba9e56a27ba31fa8b335bf37d6e8bf78f6f3c6ce90f27bbecf7fdceb4a94f7a"}),
     "farima": ({"kind": "farima", "d": -0.2}, 1.5, {"tail_tol": 1e-6}, {
-        "lsd.json": "b14096970f138ecff264e596d614f3c88fb3972de85e94630ff88d1d63b7b419",
+        "lsd.json": "5e15d688a1d4503393fed2d6758f6c255c0e79c4f098e9572f4755f99e6efce5",
         "density.csv": "40d31fcc51db5508e15e268b595d0f3d2db21d1e257d32bd7108d924a3eba8fc",
-        "cdf.csv": "0a56a50b4ea7b2b040a6d7693b63b42a9edd10e1e09cf6dc834f698d8947faa2"}),
+        "cdf.csv": "4babe7f651b171b8890d6a092aa2473daf6c12503bb7e45bd2398f38221178b6"}),
 }
 
 

@@ -117,7 +117,7 @@ def tabulated(grid, cdf_values, atom=0.0):
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(cdf_values, dtype=float)
     return lsd_cdf(LsdSolution(1.0, DEFAULT_VARIANT, grid, np.zeros_like(grid), values, atom,
-                               (float(grid[0]), float(grid[-1])), float(values[-1] - atom)))
+                               (float(grid[0]), float(grid[-1]))))
 
 
 # G(x) = x on [0, 1]: the law of one knot at 1 with no atom
