@@ -266,9 +266,8 @@ def _cells(values) -> list[str]:
 
 
 def _csv_text(header: list[str], columns) -> str:
-    """A header row, then one row per position of the equally long cell columns."""
-    row = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(map(row.__mod__, zip(*columns)))
+    """A header row, then one row per position of the equally long string columns."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
 def _records_csv(header: list[str], records) -> str:

@@ -41,7 +41,9 @@ Below the smallest it rises from r * share(f > 0) at v = 0, so the lower
 edge lies below v = 0 when that is above 1, at 0 when it is 1 or when f has
 a zero, and between 0 and the smallest value otherwise.  A continuous f
 gives one interval and the atom max(0, 1 - r); between neighbouring t_j of
-the discrete law, phi dips below 1 twice or never (an inner gap).
+the discrete law, phi dips below 1 twice or never (an inner gap).  Each edge
+is where phi = 1 in a bracket between these points, found by bisection that
+takes several halvings per kernel sweep (`_bisect`).
 
 `solve_lsd` makes one pass per support interval [a, b]: it builds nodes
 cosine-graded in sqrt(x), solves them all by one batched Newton from the
@@ -89,9 +91,13 @@ _MP_TABLE_POINTS = 4096
 _MAX_ITERATIONS, _HALVINGS, _SPLITS, _RESIDUAL_TOL = 60, 30, 64, 1e-12
 # the largest rounding noise of K1, relative to K1, that the residual may keep
 _NOISE_CAP = 1e-8
-# bisection steps per edge, matrix entries per block of the trapezoid kernel,
-# and the grid points each support interval gets when the grid allows
+# halvings per edge, kernel.levels of them per kernel sweep (`_bisect`), matrix
+# entries per block of the trapezoid kernel, and the grid points each support
+# interval gets when the grid allows
 _BISECTIONS, _SCAN_ENTRIES, _MIN_INTERVAL_POINTS = 50, 1 << 16, 16
+# kernel.levels of the exact kernel of order up to 2, and of order 3, whose
+# roots take an eigvals per point
+_RATIONAL_LEVELS = 6, 3
 # the highest order of a rational f whose kernel is summed by residues
 _EXACT_ORDER = 3
 # frequencies on [0, pi] that sample a rational f for its median
@@ -257,6 +263,7 @@ class _Rational:
     def __init__(self, ma: np.ndarray, ar: np.ndarray):
         num, den = _cosine_poly(ma), _cosine_poly(ar)
         self.order = m = max(num.size, den.size) - 1
+        self.levels = _RATIONAL_LEVELS[m > 2]
         self.num, self.den = (np.pad(c, (0, m + 1 - c.size)) for c in (num, den))
         # f is extreme on [-2, 2] at an end or at a real root of B'A - BA'
         # (the real parts of its other roots only add samples of f)
@@ -392,6 +399,8 @@ class _Population:
     zeros), weights w_j and their total `share`.  A SpectralDensity is even
     in w, so only its samples on [0, pi] are taken, with double weight inside."""
 
+    levels = 1  # its cost grows with the points of a sweep
+
     def __init__(self, f, config: SolverConfig):
         q = config.quadrature_points
         grid = _frequencies(config)
@@ -414,7 +423,7 @@ class _Population:
     def __call__(self, s):
         s = np.asarray(s)
         sums = []
-        for block in np.array_split(s, 1 + s.size * self.t.size // _SCAN_ENTRIES):
+        for block in _blocks(s, self.t.size):
             a = 1.0 / (self.inverse + block[:, None])  # t/(1 + ts)
             sums.append((a @ self.w, (a * a) @ self.w))
         k1, k2 = (np.concatenate(part) for part in zip(*sums))
@@ -422,8 +431,8 @@ class _Population:
 
     def arg_mean(self, s) -> np.ndarray:
         """mean of arg(1 + fs), in the blocks of `__call__`."""
-        blocks = np.array_split(s, 1 + s.size * self.t.size // _SCAN_ENTRIES)
-        return np.concatenate([np.angle(1.0 + self.t * b[:, None]) @ self.w for b in blocks])
+        return np.concatenate([np.angle(1.0 + self.t * b[:, None]) @ self.w
+                               for b in _blocks(s, self.t.size)])
 
     def gaps(self, scale: float):
         """Gaps (t_j, v, t_{j+1}) between neighbouring values where phi dips
@@ -435,7 +444,8 @@ class _Population:
         near = scale * w * t * t
         gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
         lo, hi = t[gaps], t[gaps + 1]
-        vmin = _bisect(lambda v: -_pole_sums(v, t, w / t, scale, 3), lo, hi)
+        vmin = _bisect(lambda v: -_pole_sums(v.ravel(), t, w / t, scale, 3).reshape(v.shape),
+                       lo, hi, self.levels)
         dips = _pole_sums(vmin, t, w, scale, 2) < 1.0
         return lo[dips], vmin[dips], hi[dips]
 
@@ -455,11 +465,19 @@ def _kernel(f, config: SolverConfig):
     return _Population(f, config)
 
 
+def _blocks(s: np.ndarray, columns: int) -> list[np.ndarray]:
+    """The rows s of a matrix with `columns` columns in the blocks of at most
+    about _SCAN_ENTRIES entries that np.array_split makes, without its cost
+    where one block holds them all."""
+    count = 1 + s.size * columns // _SCAN_ENTRIES
+    return [s] if count == 1 else np.array_split(s, count)
+
+
 def _pole_sums(v: np.ndarray, t: np.ndarray, w: np.ndarray, scale: float, power: int) -> np.ndarray:
     """scale * sum_j w_j (t_j / (v - t_j))^power at each v, in blocks of rows."""
     out = []
     with np.errstate(divide="ignore"):
-        for block in np.array_split(v, 1 + v.size * t.size // _SCAN_ENTRIES):
+        for block in _blocks(v, t.size):
             ratio = term = t / (block[:, None] - t)
             for _ in range(power - 1):  # not **: a negative base takes a slow path
                 term = term * ratio
@@ -482,11 +500,12 @@ def _residual_parts(kernel, scale: float, s: np.ndarray, z: np.ndarray):
     other magnify.
     """
     k1, k2, noise = kernel(s)
-    residual = 1.0 / s + z - scale * k1
+    inverse = 1.0 / s
+    residual = inverse + z - scale * k1
     weight = np.abs(s) / s.imag
     size = np.abs(residual.real) + np.abs(residual.imag) * weight
     noise = np.minimum(noise, _NOISE_CAP * np.abs(k1))
-    floor = _RESIDUAL_TOL * (np.abs(z) + np.abs(1.0 / s)) + scale * noise * (1.0 + weight)
+    floor = _RESIDUAL_TOL * (np.abs(z) + np.abs(inverse)) + scale * noise * (1.0 + weight)
     return residual, size, -1.0 / (s * s) + scale * k2, floor
 
 
@@ -578,13 +597,31 @@ def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_
     return _follow(kernel, scale, top, complex(roots[1]), complex(slopes[1]), z)[0]
 
 
-def _bisect(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sign changes of an increasing function g in (lo, hi), elementwise."""
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        up = g(mid) > 0.0
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    return 0.5 * (lo + hi)
+def _bisect(g, lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
+    """Sign changes of an increasing function g in (lo, hi), elementwise.
+
+    _BISECTIONS halvings, `levels` per call of g (the last may take fewer):
+    g is evaluated on the (brackets, 2^levels - 1) array of inner dyadic
+    points, each 0.5 (lo + hi) of its two parents, and bisection's choices
+    are replayed on their signs, so every point and choice is bisection's.
+    """
+    points = np.column_stack([lo, hi])
+    for done in range(0, _BISECTIONS, levels):
+        width = 1 << min(levels, _BISECTIONS - done)
+        ends, points = points, np.empty((lo.size, width + 1))
+        points[:, ::width] = ends
+        half = width
+        while half > 1:  # the midpoints of each level from those of the last
+            step, half = half, half // 2
+            points[:, half::step] = 0.5 * (points[:, :-half:step] + points[:, step::step])
+        up = g(points[:, 1:-1]) > 0.0
+        while width > 1:  # g > 0 at the midpoint: keep the lower half
+            width //= 2
+            keep = up[:, width - 1:width]
+            points = np.where(keep, points[:, :width + 1], points[:, width:])
+            if width > 1:
+                up = np.where(keep, up[:, :width - 1], up[:, width:])
+    return 0.5 * (points[:, 0] + points[:, 1])
 
 
 # a support interval [a, b] (a = 0: a hard edge), the root at b and z'' there,
@@ -594,11 +631,13 @@ _Interval = NamedTuple("_Interval", [("a", float), ("b", float), ("s_b", float),
 
 
 def _support(kernel, scale: float) -> list[_Interval]:
-    """Support intervals of the law, from the critical points of z(s)."""
-    def z_phi(v):  # z and phi at v = -1/s
+    """Support intervals of the law, from the critical points of z(s): all
+    brackets of phi = 1 are bisected at once, kernel.levels halvings per
+    kernel sweep, more where a sweep's cost hardly grows with its points."""
+    def z_phi(v):  # z and phi at v = -1/s, in the shape of v
         s = -1.0 / v
-        k1, k2, _ = kernel(s)
-        return v + scale * k1.real, scale * (s * s * k2).real
+        k1, k2, _ = kernel(s.ravel())
+        return v + scale * k1.real.reshape(v.shape), scale * (s * s * k2.reshape(v.shape)).real
 
     reach = math.sqrt(scale) * kernel.high  # phi < 1 beyond it from every value of f
     lo, vmin, hi = kernel.gaps(scale)
@@ -611,7 +650,8 @@ def _support(kernel, scale: float) -> list[_Interval]:
     opening = np.append(lower[0], vmin)[hard:], np.append(lower[1], hi)[hard:]
     closing = np.append(lo, kernel.high), np.append(vmin, kernel.high + reach)
     sign = np.repeat([1.0, -1.0], [opening[0].size, closing[0].size])
-    v = _bisect(lambda v: sign * (z_phi(v)[1] - 1.0), *map(np.concatenate, zip(opening, closing)))
+    brackets = map(np.concatenate, zip(opening, closing))
+    v = _bisect(lambda v: sign[:, None] * (z_phi(v)[1] - 1.0), *brackets, kernel.levels)
     z, phi_v = z_phi(v)
     # at a hard edge (scale * share = 1) z falls from 0 below the lowest value
     opens = np.append(np.zeros(hard), np.maximum(z[sign > 0], 0.0))

@@ -410,6 +410,7 @@ class TestOutputText:
         assert _csv_text(["a", "b", "c", "d"], map(_cells, zip(*rows))) == want
         assert _floats(np.array(self.FLOATS)) == _cells(self.FLOATS)
         assert _csv_text(["x", "F"], [[], []]) == "x,F\n"
+        assert _csv_text(["a"], [["", "b", ""]]) == "a\n\nb\n\n"  # an empty row is a row
 
     @pytest.mark.parametrize("law", sorted(SOLVE_DIGESTS))
     def test_solve_outputs_keep_their_bytes(self, tmp_path, law):

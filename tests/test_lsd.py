@@ -697,19 +697,98 @@ def count_kernel_calls(monkeypatch, kernel):
     return calls
 
 
-# the four laws of the benchmark's `law` workload
+# the four laws of the benchmark's `law` workload, and laws of order 2 and 3
 @pytest.mark.parametrize("doc, y", [
     ({"kind": "white_noise"}, 2.0),
     ({"kind": "ma", "theta": [0.5]}, 2.0),
     ({"kind": "ar1", "phi": 0.9}, 0.5),
     ({"kind": "arma", "phi": [0.5], "theta": [0.4]}, 1.5),
+    ({"kind": "ma", "theta": [0.5, 0.3]}, 2.0),
+    ({"kind": "ma", "theta": [0.5, 0.3, 0.2]}, 2.0),
 ])
 def test_an_exact_law_is_solved_in_few_kernel_sweeps(doc, y, monkeypatch):
-    # 52 sweeps find the edges; one batched Newton solves every node
+    # 9 sweeps find the edges (17 at order 3) and 2 more read z and z'' at
+    # them; one batched Newton solves every node
     f = model_density(doc)
     calls = count_kernel_calls(monkeypatch, lsd._Rational)
     solve_lsd(f, y)
-    assert len(calls) <= 100  # measured: 70-75
+    assert len(calls) <= 40  # measured: 29-34 on the workload laws, 30 and 38 at order 2 and 3
+
+
+def plain_bisect(g, lo, hi):
+    """Oracle of `_bisect`: one halving per call of g."""
+    for _ in range(lsd._BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        up = g(mid[:, None])[:, 0] > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+_ROOTS = np.array([0.3, -2.5e-7, 1.0 / 3.0, 7.0, 7.0 + 1e-13])
+_EDGES = np.array([0.0, -1.0, 0.25, 7.0, 7.0]), np.array([1.0, 1e-6, 0.5, 7.0 + 3e-13, 8.0])
+# the cases take only correctly rounded arithmetic, whose result at a point
+# does not depend on the layout of the array that holds it
+_BISECT_CASES = {
+    "increasing": (lambda v, r: (v - r) * (1.0 + (v - r) ** 2), *_EDGES),
+    # a few ulps of noise: g is not monotone where it is near 0
+    "noisy": (lambda v, r: v - r + 3.0 * np.spacing(r) * (np.fmod(v / np.spacing(r), 4.0) - 1.5),
+              *_EDGES),
+    "no sign change": (lambda v, r: v - r - 10.0 * (r > 0.0), *_EDGES),
+    "nan": (lambda v, r: np.where(v < r, -1.0, np.nan), *_EDGES),
+    "lo == hi": (lambda v, r: v - r, _EDGES[0], _EDGES[0]),
+    "no bracket": (lambda v, r: v - r, np.empty(0), np.empty(0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BISECT_CASES))
+@pytest.mark.parametrize("levels", range(1, 9))
+def test_bisect_takes_the_points_and_choices_of_plain_bisection(case, levels):
+    assert {lsd._Population.levels, *lsd._RATIONAL_LEVELS} <= set(range(1, 9))
+    g, lo, hi = _BISECT_CASES[case]
+    roots = _ROOTS[:lo.size, None]
+    shapes = []
+    got = lsd._bisect(lambda v: shapes.append(v.shape) or g(v, roots), lo, hi, levels)
+    assert got.tobytes() == plain_bisect(lambda v: g(v, roots), lo, hi).tobytes()
+    # levels halvings per call of g, and the remainder of _BISECTIONS in the last
+    whole, rest = divmod(lsd._BISECTIONS, levels)
+    widths = [2**levels - 1] * whole + [2**rest - 1] * bool(rest)
+    assert shapes == [(lo.size, width) for width in widths]
+
+
+@pytest.mark.parametrize("f, y, config", [
+    (SpectralDensity([1.0, 0.5]), 2.0, SolverConfig()),
+    (SpectralDensity([1.0, 1.0, 1.0]), 2.0, SolverConfig()),
+    (SpectralDensity([1.0, 0.5, 0.3, 0.2]), 0.5, SolverConfig()),
+    (model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6), 1.178, SolverConfig(256)),
+])
+def test_support_edges_are_those_of_plain_bisection(f, y, config, monkeypatch):
+    # the kernel at a (brackets, points) array of v, raveled, is the kernel
+    # at each v alone, to the bit
+    kernel, scale = lsd._kernel(f, config), 1.0 / y
+    got = np.array(lsd._support(kernel, scale))
+    monkeypatch.setattr(lsd, "_bisect", lambda g, lo, hi, levels: plain_bisect(g, lo, hi))
+    assert got.tobytes() == np.array(lsd._support(kernel, scale)).tobytes()
+
+
+def test_trapezoid_edge_search_takes_one_point_per_bracket_and_sweep(monkeypatch):
+    # the cost of the trapezoid kernel and of the pole sums grows with the
+    # points of a sweep, so they keep plain bisection
+    f = model_density({"kind": "farima", "d": -0.2}, tail_tol=1e-6)
+    kernel, scale = lsd._kernel(f, SolverConfig()), 1.0 / 1.178
+    calls = count_kernel_calls(monkeypatch, lsd._Population)
+    sums = []
+    pole_sums = lsd._pole_sums
+    monkeypatch.setattr(lsd, "_pole_sums", lambda v, *args: sums.append(v.size) or pole_sums(v, *args))
+    intervals = lsd._support(kernel, scale)
+    # the gap search: one call per halving, one point per candidate gap, then
+    # phi at its least points
+    candidates = sums[0]
+    assert candidates >= 1 and sums == [candidates] * lsd._BISECTIONS + [candidates]
+    # the edge search: one call per halving, one point per edge, then z at
+    # the edges and z' on either side of each upper edge
+    edges = 2 * len(intervals)
+    assert len(intervals) == 2
+    assert calls == [edges] * lsd._BISECTIONS + [edges, edges]
 
 
 @pytest.mark.parametrize("f, y", [
