@@ -59,10 +59,11 @@ def sym_eigenvalues(matrix) -> EmpiricalSpectrum:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > _SYMMETRY_TOL * scale:
-        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    if not np.array_equal(m, m.T):  # only an inexact symmetry is measured against the tolerance
+        scale = max(1.0, float(np.max(np.abs(m))))
+        asym = float(np.max(np.abs(m - m.T)))
+        if asym > _SYMMETRY_TOL * scale:
+            raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
     try:
         ev = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent

@@ -231,6 +231,13 @@ def _distance_tables(cdf: EmpiricalCdf, candidates: dict) -> tuple[dict, dict]:
     return {label: ks for label, ks, _ in pairs}, {label: w1 for label, _, w1 in pairs}
 
 
+def _pooled_ks(config: EnsembleConfig, candidates: dict) -> dict:
+    """Pooled KS of an ensemble on `config` to each candidate law; the
+    ensemble runs without candidates, so no per-replicate table is taken."""
+    report = run_ensemble(config, {})
+    return _distance_tables(EmpiricalCdf(np.concatenate(report.eigenvalues)), candidates)[0]
+
+
 def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> EnsembleReport:
     """Simulate, decompose and compare each replicate against candidate laws.
 
@@ -354,7 +361,9 @@ def calibrate_equation_variant(
     ensemble per base seed, and requires that exactly one variant
     reaches pooled KS <= pass_threshold while every other stays >= 0.10,
     identically across seeds.  A confirmation ensemble with a dependent
-    process, the first-order moving average MA(0.5), must also pass.
+    process, the first-order moving average MA(0.5), must also pass.  Only
+    the pooled KS of each ensemble is read, so only it is computed: one
+    distance pair per candidate law and ensemble, none per replicate.
     Raises CalibrationError when the adjudication is ambiguous.  `settings`
     are passed on to every `EnsembleConfig`.
     """
@@ -382,15 +391,15 @@ def calibrate_equation_variant(
     evidence: list[dict] = []
     selections: list[str] = []
     for seed in base_seeds:
-        report = run_ensemble(replace(base_config, base_seed=seed), candidates)
-        passing = [v for v in variants if report.pooled_ks[v.label] <= pass_threshold]
+        pooled_ks = _pooled_ks(replace(base_config, base_seed=seed), candidates)
+        passing = [v for v in variants if pooled_ks[v.label] <= pass_threshold]
         others_fail = all(
-            report.pooled_ks[v.label] >= _FAIL_THRESHOLD
+            pooled_ks[v.label] >= _FAIL_THRESHOLD
             for v in variants
             if v not in passing
         )
         evidence.extend(
-            {"seed": int(seed), "variant": v.label, "ks_pooled": report.pooled_ks[v.label],
+            {"seed": int(seed), "variant": v.label, "ks_pooled": pooled_ks[v.label],
              "passed": v in passing, "law_in_range": in_range[v.label]}
             for v in variants
         )
@@ -409,8 +418,8 @@ def calibrate_equation_variant(
     selected = EquationVariant.parse(selections[0])
 
     confirm = CoefficientModel.ma([0.5])
-    confirm_report = run_ensemble(replace(base_config, model=confirm, variants=(selected,)))
-    confirm_ks = confirm_report.pooled_ks[selected.label]
+    confirm_config = replace(base_config, model=confirm, variants=(selected,))
+    confirm_ks = _pooled_ks(confirm_config, _candidate_cdfs(confirm_config))[selected.label]
     confirmation = {
         "model": confirm.label(),
         "ks_pooled": confirm_ks,

@@ -37,6 +37,29 @@ class TestSymEigenvalues:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_asymmetry_just_beyond_the_tolerance_names_it(self):
+        # 1e-10 times the largest entry, 4, is 4e-10
+        m = [[4.0, 0.0, 4.1e-10], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        with pytest.raises(ValueError, match=r"^matrix is not symmetric: max \|M - M\^T\| = 4\.100e-10$"):
+            sym_eigenvalues(m)
+
+    def test_asymmetry_within_the_tolerance_is_accepted(self):
+        # eigvalsh reads the lower triangle, so a perturbed upper triangle
+        # gives the eigenvalues of the exactly symmetric matrix
+        a = np.random.default_rng(1).standard_normal((40, 40))
+        m = a + a.T
+        near = m.copy()
+        near[3, 17] += 0.5e-10 * float(np.max(np.abs(m)))
+        assert sym_eigenvalues(near).eigenvalues.tobytes() == sym_eigenvalues(m).eigenvalues.tobytes()
+        assert sym_eigenvalues(m).eigenvalues.tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+    def test_nan_off_the_diagonal_is_not_measured_as_asymmetry(self):
+        # max |M - M^T| is NaN, which is not above the tolerance, so the
+        # matrix is accepted and eigvalsh reads the lower triangle alone
+        m = np.array([[1.0, np.nan], [0.5, 2.0]])
+        assert sym_eigenvalues(m).eigenvalues.tobytes() == \
+            np.linalg.eigvalsh([[1.0, 0.5], [0.5, 2.0]]).tobytes()
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             sym_eigenvalues(np.ones((2, 3)))

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,6 +296,31 @@ class TestCalibration:
         flags = {e["variant"]: e["law_in_range"] for e in verdict.evidence}
         assert flags["raw-y-companion"] is False
         assert flags["normalized-yinv-direct"] is True
+
+    def test_pooled_ks_is_that_of_the_full_ensemble_report(self):
+        seeds = (11, 12)
+        verdict = calibrate_equation_variant(p=64, n=128, replicates=4, base_seeds=seeds,
+                                             pass_threshold=0.08)
+        config = EnsembleConfig(model=WHITE, p=64, n=128, replicates=4, base_seed=seeds[0],
+                                variants=all_variants())
+        candidates = _candidate_cdfs(config)
+        for seed in seeds:
+            want = run_ensemble(replace(config, base_seed=seed), candidates).pooled_ks
+            # float == is bit for bit on positive finite values
+            assert {e["variant"]: e["ks_pooled"] for e in verdict.evidence if e["seed"] == seed} == want
+        confirm = replace(config, model=CoefficientModel.ma([0.5]), variants=(verdict.selected,))
+        assert verdict.confirmation["ks_pooled"] == run_ensemble(confirm).pooled_ks[verdict.selected.label]
+
+    def test_one_ks_distance_per_candidate_and_ensemble(self, monkeypatch):
+        # three white-noise ensembles against 8 laws and the confirmation
+        # against one: no per-replicate table
+        import lpspec.verify as verify_mod
+
+        calls = []
+        ks = verify_mod.ks_distance
+        monkeypatch.setattr(verify_mod, "ks_distance", lambda f, g: calls.append(1) or ks(f, g))
+        calibrate_equation_variant(p=64, n=128, replicates=4)
+        assert len(calls) == 3 * 8 + 1
 
     def test_one_solve_per_equation(self, monkeypatch):
         # the role does not enter the equation: 8 variants are 4 equations
