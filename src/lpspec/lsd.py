@@ -439,19 +439,11 @@ class _Population:
         below 1 at v.  The terms of t_j and t_{j+1} alone keep phi above
         (cbrt(A) + cbrt(B))^3 / gap^2, so only gaps where that is below 1 can
         dip; v is where phi is least, where its slope, a negative multiple of
-        sum_j w_j t_j^2 / (v - t_j)^3, changes sign.  In a gap each term
-        w_i t_i^2 / (v - t_i)^2 is at least its value at the end farther from
-        t_i; where the sum of those floors clears 1 in every gap, no gap dips
-        and none is searched."""
+        sum_j w_j t_j^2 / (v - t_j)^3, changes sign."""
         t, w = self.t, self.w
         near = scale * w * t * t
         gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
         lo, hi = t[gaps], t[gaps + 1]
-        floors = (near @ (1.0 / np.maximum(t[:, None] - t[j], t[j + 1] - t[:, None]) ** 2)
-                  for j in _blocks(gaps, t.size))
-        # 1e-9 is far above the rounding of phi at a gap's least point
-        if not any(np.any(floor < 1.0 + 1e-9) for floor in floors):
-            return lo[:0], lo[:0], hi[:0]
         vmin = _bisect(lambda v: -_pole_sums(v.ravel(), t, w / t, scale, 3).reshape(v.shape),
                        lo, hi, self.levels)
         dips = _pole_sums(vmin, t, w, scale, 2) < 1.0

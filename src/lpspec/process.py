@@ -445,8 +445,6 @@ def _filtered_record(spec: ProcessSpec, kernel: np.ndarray, length: int) -> np.n
     draws = draw_innovations(spec.innovations, j + length)
     nz = np.nonzero(kernel)[0]
     kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-    if kernel.size == 1:  # np.convolve's products, bit for bit, without its cost
-        return kernel[0] * draws[j : j + length]
     if kernel.size <= _DIRECT_TAPS:
         return np.convolve(draws, kernel)[j : j + length]
     size = 1 << (draws.size + kernel.size - 2).bit_length()

@@ -234,8 +234,8 @@ def _distance_tables(cdf: EmpiricalCdf, candidates: dict) -> tuple[dict, dict]:
 def _pooled_ks(config: EnsembleConfig, candidates: dict) -> dict:
     """Pooled KS of an ensemble on `config` to each candidate law; the
     ensemble runs without candidates, so no per-replicate table is taken."""
-    report = run_ensemble(config, {})
-    return _distance_tables(EmpiricalCdf(np.concatenate(report.eigenvalues)), candidates)[0]
+    cdf = EmpiricalCdf(np.concatenate(run_ensemble(config, {}).eigenvalues))
+    return {label: ks_distance(cdf, law) for label, law in candidates.items()}
 
 
 def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> EnsembleReport:
@@ -363,7 +363,7 @@ def calibrate_equation_variant(
     identically across seeds.  A confirmation ensemble with a dependent
     process, the first-order moving average MA(0.5), must also pass.  Only
     the pooled KS of each ensemble is read, so only it is computed: one
-    distance pair per candidate law and ensemble, none per replicate.
+    KS distance per candidate law and ensemble, none per replicate.
     Raises CalibrationError when the adjudication is ambiguous.  `settings`
     are passed on to every `EnsembleConfig`.
     """

@@ -661,42 +661,6 @@ def test_rational_arg_mean_matches_a_fine_midpoint_sum(law, s):
     assert abs(kernel.arg_mean(np.array([s]))[0] - want) <= 1e-12
 
 
-def searched_gaps(kernel, scale):
-    """The gap search on every gap the terms of its two ends leave open."""
-    t, w = kernel.t, kernel.w
-    near = scale * w * t * t
-    gaps = np.flatnonzero((np.cbrt(near[:-1]) + np.cbrt(near[1:])) ** 3 < np.diff(t) ** 2)
-    lo, hi = t[gaps], t[gaps + 1]
-    vmin = lsd._bisect(lambda v: -lsd._pole_sums(v.ravel(), t, w / t, scale, 3).reshape(v.shape),
-                       lo, hi, kernel.levels)
-    dips = lsd._pole_sums(vmin, t, w, scale, 2) < 1.0
-    return lo[dips], vmin[dips], hi[dips]
-
-
-_FARIMA = {"kind": "farima", "d": -0.2}
-
-
-@pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 1.178, 1.5, 2.0, 4.0])
-def test_gaps_are_those_of_the_search_on_every_open_gap(y):
-    kernel = lsd._kernel(model_density(_FARIMA, tail_tol=1e-6), SolverConfig())
-    got, want = kernel.gaps(1.0 / y), searched_gaps(kernel, 1.0 / y)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-
-def test_trapezoid_law_where_no_gap_can_dip_skips_the_gap_search(monkeypatch):
-    # at y = 1/2 three gaps pass the test of their two ends, but the farther
-    # end of each keeps phi above 2.2 there, so none is bisected
-    kernel, scale = lsd._kernel(model_density(_FARIMA, tail_tol=1e-6), SolverConfig()), 2.0
-    sums = []
-    pole_sums = lsd._pole_sums
-    monkeypatch.setattr(lsd, "_pole_sums", lambda v, *args: sums.append(v.size) or pole_sums(v, *args))
-    got = np.array(lsd._support(kernel, scale))
-    assert sums == []
-    monkeypatch.setattr(kernel, "gaps", lambda scale: searched_gaps(kernel, scale))
-    assert got.tobytes() == np.array(lsd._support(kernel, scale)).tobytes()
-    assert sums == [3] * (lsd._BISECTIONS + 1)
-
-
 @pytest.mark.parametrize("f, y", [
     (SpectralDensity([1.0, 0.5]), 2.0),
     (SpectralDensity([1.0], [1.0, -0.9]), 0.5),

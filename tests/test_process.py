@@ -184,19 +184,6 @@ class TestSimulateRecord:
         rec = simulate_record(spec, 100)
         np.testing.assert_array_equal(rec, draw_innovations(spec.innovations, 100))
 
-    def test_white_noise_past_the_horizon_is_the_draws_bit_for_bit(self):
-        spec = ProcessSpec(CoefficientModel.white_noise(), InnovationSpec(seed=4), 7)
-        rec = simulate_record(spec, 1000)
-        assert rec.tobytes() == draw_innovations(spec.innovations, 7 + 1000)[7:].tobytes()
-
-    @pytest.mark.parametrize("distribution", ["gaussian", "rademacher", "uniform"])
-    def test_one_coefficient_scales_the_draws_bit_for_bit(self, distribution):
-        c = -0.7303
-        spec = ProcessSpec(CoefficientModel.explicit([c]), InnovationSpec(distribution, seed=6), 3)
-        draws = draw_innovations(spec.innovations, 3 + 500)[3:]
-        assert simulate_record(spec, 500).tobytes() == (c * draws).tobytes()
-        assert simulate_record(spec, 500).tobytes() == np.convolve(draws, [c]).tobytes()
-
     def test_deterministic(self):
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(seed=9), 8)
         np.testing.assert_array_equal(simulate_record(spec, 64), simulate_record(spec, 64))
