@@ -125,12 +125,16 @@ def autocovariance_matrix(coeffs, m: int) -> np.ndarray:
 
 
 def gram(matrix) -> np.ndarray:
-    """Row-normalized Gram matrix M M^T / p, where p is the row count."""
+    """Row-normalized Gram matrix M M^T / p, where p is the row count.
+
+    The product is divided by p in place, so the Gram is the only array made."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("gram expects a 2-d matrix")
     # numpy forms m @ m.T with syrk and mirrors the triangle: exactly symmetric
-    return (m @ m.T) / m.shape[0]
+    product = m @ m.T
+    product /= m.shape[0]
+    return product
 
 
 def subdiagonal_shift(m: int) -> np.ndarray:

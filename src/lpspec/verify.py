@@ -211,16 +211,25 @@ def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
 
 
 def _one_replicate(config: EnsembleConfig, replicate: int):
+    """Eigenvalues and trace statistic of one replicate.  It holds one record
+    and one Gram: the Gram is formed first, the record is then squared in
+    place for the trace, and released before the eigensolve."""
     spec = config.replicate_spec(replicate)
-    record = simulate_record(spec, config.shape.cells)
-    x = segment_matrix(record, config.shape)
+    x = segment_matrix(simulate_record(spec, config.shape.cells), config.shape)
     p, n = config.p, config.n
-    trace_stat = float(np.sum(x * x)) / (p * p)
-    if p <= n:
-        evs = sym_eigenvalues(gram(x)).eigenvalues
-    else:  # XX^T/p: the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
-        evs = np.concatenate([np.zeros(p - n), sym_eigenvalues(gram(x.T)).eigenvalues * (n / p)])
+    # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
+    g = gram(x) if p <= n else gram(x.T)
+    trace_stat = _sum_of_squares(x) / (p * p)
+    del x
+    evs = sym_eigenvalues(g).eigenvalues
+    if p > n:
+        evs = np.concatenate([np.zeros(p - n), evs * (n / p)])
     return np.clip(evs, 0.0, None), trace_stat
+
+
+def _sum_of_squares(record: np.ndarray) -> float:
+    """Sum of the squared entries of `record`, which is squared in place."""
+    return float(np.sum(np.multiply(record, record, out=record)))
 
 
 def _distance_tables(cdf: EmpiricalCdf, candidates: dict) -> tuple[dict, dict]:
@@ -318,11 +327,9 @@ def trace_moment_check(
     """
     if report is not None:
         stats_ = list(report.trace_stats)
-    else:
-        stats_ = []
-        for r in range(config.replicates):
-            record = simulate_record(config.replicate_spec(r), config.shape.cells)
-            stats_.append(float(np.sum(record * record)) / (config.p * config.p))
+    else:  # one record at a time, squared in place
+        stats_ = [_sum_of_squares(simulate_record(config.replicate_spec(r), config.shape.cells))
+                  / (config.p * config.p) for r in range(config.replicates)]
     mean = float(np.mean(stats_))
     target = (config.n / config.p) * total_energy(config.model)
     rel = abs(mean - target) / abs(target)

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from lpspec.process import (
+    _BLOCK,
+    _DIRECT_TAPS,
+    _filtered_record,
     CoefficientModel,
     DecayAssumptionWarning,
     InnovationSpec,
@@ -206,6 +209,35 @@ class TestSimulateRecord:
             simulate_record(spec, 0)
         with pytest.raises(ValueError, match="index range"):
             simulate_record(spec, 2**32)
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "rademacher", "uniform"])
+    @pytest.mark.parametrize("taps", [1, 2, 7, 256])
+    @pytest.mark.parametrize("beyond", [0, 300])
+    def test_in_place_filter_across_block_edges(self, taps, beyond, distribution):
+        # three blocks and a remainder, at the horizon taps - 1 and beyond it
+        coeffs = np.random.default_rng(taps).uniform(0.5, 1.5, taps)
+        spec = ProcessSpec(CoefficientModel.explicit(coeffs), InnovationSpec(distribution, seed=6),
+                           taps - 1 + beyond)
+        length = 3 * _BLOCK + 1234
+        j = spec.horizon
+        ref = np.convolve(draw_innovations(spec.innovations, j + length), coeffs)[j : j + length]
+        assert simulate_record(spec, length).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("model", [CoefficientModel.farima(-0.2), CoefficientModel.ar1(0.99)])
+    def test_long_kernel_record_is_one_fft_product(self, model):
+        spec = ProcessSpec(model, InnovationSpec(seed=4), default_horizon(model, 64, 1e-6), 1e-6)
+        kernel = spec.coefficient_array()
+        assert kernel.size > _DIRECT_TAPS and kernel[-1] != 0.0
+        j, length = spec.horizon, 5000
+        draws = draw_innovations(spec.innovations, j + length)
+        size = 1 << (draws.size + kernel.size - 2).bit_length()
+        ref = np.fft.irfft(np.fft.rfft(draws, size) * np.fft.rfft(kernel, size), size)
+        assert simulate_record(spec, length).tobytes() == ref[j : j + length].tobytes()
+
+    def test_kernel_longer_than_the_horizon_rejected(self):
+        spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(), 1)
+        with pytest.raises(ValueError, match="horizon of at least 2, not 1"):
+            _filtered_record(spec, np.ones(3), 10)
 
 
 class TestHorizonAndTail:

@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 
 from lpspec.lsd import EquationVariant, SolverConfig, all_variants, marchenko_pastur
 from lpspec.matrices import gram, segment_matrix
-from lpspec.process import CoefficientModel, InnovationSpec, ProcessSpec, simulate_record
+from lpspec.process import _BLOCK, CoefficientModel, InnovationSpec, ProcessSpec, simulate_record
 from lpspec.spectra import EigensolverError, EmpiricalSpectrum, ks_distance, sym_eigenvalues
 from lpspec.verify import (
     CalibrationError,
@@ -183,6 +184,21 @@ class TestReplicateEigenvalues:
         expected = np.clip(sym_eigenvalues(gram(x)).eigenvalues, 0, None)
         assert evs.tobytes() == expected.tobytes()
         assert trace_stat == float(np.sum(x * x)) / (p * p)
+
+    @pytest.mark.parametrize("p, n", [(1024, 512), (512, 1024), (1024, 1024)])
+    def test_replicate_holds_one_record_and_one_gram(self, p, n):
+        # tracemalloc sees numpy's data allocations, not the copy LAPACK takes;
+        # it sees imports too, so the first call (numpy.random's) is not traced
+        config = EnsembleConfig(model=self.MA, p=p, n=n, replicates=1, base_seed=4)
+        floor = 8 * (p * n + config.resolved_horizon() + min(p, n) ** 2)
+        _one_replicate(config, 0)
+        tracemalloc.start()
+        try:
+            _one_replicate(config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert floor <= peak <= 1.01 * floor + 8 * _BLOCK
 
 
 def pooled_cdf(model, seed, distribution="gaussian"):
