@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import ProcessSpec, _filtered_record, autocovariance, coefficients, draw_innovations
+from .process import ProcessSpec, autocovariance, coefficients, draw_innovations, filtered_records
 
 __all__ = [
     "MatrixShape",
@@ -62,7 +62,7 @@ def truncated_segment_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarra
     matrix.
     """
     kernel = coefficients(spec.model, min(spec.horizon, shape.n) + 1)
-    return _filtered_record(spec, kernel, shape.cells).reshape(shape.p, shape.n)
+    return next(filtered_records(spec, shape.cells, (kernel,))).reshape(shape.p, shape.n)
 
 
 def innovation_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarray:

@@ -35,6 +35,7 @@ __all__ = [
     "decay_envelope_constant",
     "default_horizon",
     "draw_innovations",
+    "filtered_records",
     "simulate_record",
     "spectral_density",
     "total_energy",
@@ -418,18 +419,27 @@ class ProcessSpec:
                              f"{self.model.label()}")
 
     def coefficient_array(self) -> np.ndarray:
-        return coefficients(self.model, self.horizon + 1)
+        """c_0..c_J, read-only: cached per (model, horizon), as an ensemble
+        filters every replicate by them."""
+        return _kernel(self.model, self.horizon)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel(model: CoefficientModel, horizon: int) -> np.ndarray:
+    c = coefficients(model, horizon + 1)
+    c.flags.writeable = False
+    return c
 
 
 def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
     """Simulate X_1..X_length with X_t = sum_{j=0}^{J} c_j Z_{t-j}.
 
-    Uses J + length innovation draws (indices 1-J .. length); the result is
-    bit-reproducible given (seed, horizon, distribution).  Filtering by K
-    taps needs J >= K - 1, which the J + 1 coefficients meet.  Up to
-    `_DIRECT_TAPS` taps filter the draws in place, so the record is then a
-    view into its J + length innovation buffer.  A Rademacher draw still
-    holds an int64 and a float64 copy of the stream while it draws.
+    Draws the J + length innovations (indices 1-J .. length) and filters
+    them by the spec's coefficients, through `filtered_records`; the result
+    is bit-reproducible given (seed, horizon, distribution).  Up to
+    `_DIRECT_TAPS` taps the record is a view into its J + length innovation
+    buffer.  A Rademacher draw still holds an int64 and a float64 copy of
+    the stream while it draws.
     """
     if length < 1:
         raise ValueError("record length must be >= 1")
@@ -438,40 +448,55 @@ def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
             f"record of length {length} at horizon {spec.horizon} exceeds the "
             "supported index range"
         )
-    return _filtered_record(spec, spec.coefficient_array(), length)
+    return next(filtered_records(spec, length, (spec.coefficient_array(),)))
 
 
-def _filtered_record(spec: ProcessSpec, kernel: np.ndarray, length: int) -> np.ndarray:
-    """X_1..X_length from the spec's innovation stream filtered by `kernel`.
+def filtered_records(spec: ProcessSpec, length: int, kernels):
+    """X_1..X_length filtered by each of `kernels` in turn, from one draw of
+    the J + length innovations of the spec's stream (the spec's own
+    coefficients are not read).  Read each record before asking for the next.
 
     Trailing zero coefficients are trimmed, and the K taps left must satisfy
-    J >= K - 1, so that every kept output overlaps the kernel fully.  Kernels
-    of up to `_DIRECT_TAPS` taps filter the J + length draws in place, from
-    back to front one `_BLOCK` at a time: a block overwrites only draws that
-    no block still to come reads, and each output is the dot product that
-    ``np.convolve(draws, kernel)`` takes.  The record is then a view into
-    the innovation buffer.  Longer kernels go through an FFT product at a
-    power-of-two length, which moves the record at rounding level; the draws
-    are released before the inverse transform.  A Rademacher draw still holds
-    an int64 and a float64 copy of the stream while it draws.
+    J >= K - 1, so that every kept output overlaps the kernel fully.  The
+    unit kernel (white noise) leaves the draws as they are: its record is
+    the draws themselves, which is what ``np.convolve`` writes.  Other
+    kernels may overwrite the draws, so every kernel but the last must be
+    the unit kernel.  Kernels of up to `_DIRECT_TAPS` taps filter the draws
+    in place, from back to front one `_BLOCK` at a time: a block overwrites
+    only draws that no block still to come reads, and each output is the dot
+    product that ``np.convolve(draws, kernel)`` takes.  The record is then a
+    view into the innovation buffer.  Longer kernels go through an FFT
+    product at a power-of-two length, which moves the record at rounding
+    level; the draws are released before the inverse transform.
     """
     j = spec.horizon
+    trimmed = []
+    for kernel in kernels:
+        nz = np.nonzero(kernel)[0]
+        kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
+        if kernel.size > j + 1:
+            raise ValueError(f"a kernel of {kernel.size} taps needs a horizon of at least "
+                             f"{kernel.size - 1}, not {j}")
+        trimmed.append(kernel)
+    unit = [k.size == 1 and k[0] == 1.0 for k in trimmed]
+    if not all(unit[:-1]):
+        raise ValueError("only the unit kernel leaves the draws to the kernel after it")
     draws = draw_innovations(spec.innovations, j + length)
-    nz = np.nonzero(kernel)[0]
-    kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-    taps = kernel.size
-    if taps > j + 1:
-        raise ValueError(f"a kernel of {taps} taps needs a horizon of at least {taps - 1}, not {j}")
+    for _ in trimmed[:-1]:
+        yield draws[j:]
+    kernel, taps = trimmed[-1], trimmed[-1].size
     if taps <= _DIRECT_TAPS:
-        for end in range(j + length, j, -_BLOCK):
-            start = max(j, end - _BLOCK)
-            draws[start:end] = np.convolve(draws[start - (taps - 1) : end], kernel, "valid")
-        return draws[j : j + length]
+        if not unit[-1]:
+            for end in range(j + length, j, -_BLOCK):
+                start = max(j, end - _BLOCK)
+                draws[start:end] = np.convolve(draws[start - (taps - 1) : end], kernel, "valid")
+        yield draws[j:]
+        return
     size = 1 << (draws.size + taps - 2).bit_length()
     spectrum = np.fft.rfft(draws, size)
     del draws
     spectrum *= np.fft.rfft(kernel, size)
-    return np.fft.irfft(spectrum, size)[j : j + length]
+    yield np.fft.irfft(spectrum, size)[j : j + length]
 
 
 class SpectralDensity:

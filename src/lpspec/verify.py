@@ -13,6 +13,12 @@ before adding the index starts nearby base seeds such as s and s + 1 at
 unrelated points of the 64-bit range, not on each other's streams.  Replicates
 may run on a thread pool; assembly is an ordered reduction over replicate
 indices, so the worker count cannot change a single output byte.
+
+Ensembles that differ in their model alone draw the same innovation
+streams, so one draw per replicate can serve several models when each of
+them but the last is white noise, whose record is the draws themselves:
+calibration filters its MA(0.5) confirmation from the first seed's
+white-noise draws.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .process import (
     InnovationSpec,
     ProcessSpec,
     default_horizon,
+    filtered_records,
     simulate_record,
     spectral_density,
     total_energy,
@@ -210,21 +217,45 @@ def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     return {label: lsd_cdf(law) for label, law in _candidate_laws(config, y).items()}
 
 
-def _one_replicate(config: EnsembleConfig, replicate: int):
-    """Eigenvalues and trace statistic of one replicate.  It holds one record
-    and one Gram: the Gram is formed first, the record is then squared in
-    place for the trace, and released before the eigensolve."""
+def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None) -> list:
+    """(eigenvalues, trace statistic) of one replicate of the config's model,
+    or, given `kernels`, of each kernel's record from one draw of the
+    config's stream (see `filtered_records`).  None stands in for a record
+    whose eigensolve failed, which is logged.
+
+    Each Gram is formed and eigensolved before the next record is filtered.
+    The config's own record is then squared in place for the trace statistic
+    and released before the eigensolve, so the replicate holds one record
+    and one Gram.  The records of `kernels` share their draws, which the
+    squaring would overwrite, so they take no trace statistic (None); the
+    replicate holds the draws, one Gram and one filter block.
+    """
     spec = config.replicate_spec(replicate)
-    x = segment_matrix(simulate_record(spec, config.shape.cells), config.shape)
+    cells = config.shape.cells
+    if kernels is None:  # a generator keeps no record it has yielded
+        records = (simulate_record(spec, cells) for _ in range(1))
+    else:
+        records = filtered_records(spec, cells, kernels)
     p, n = config.p, config.n
-    # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
-    g = gram(x) if p <= n else gram(x.T)
-    trace_stat = _sum_of_squares(x) / (p * p)
-    del x
-    evs = sym_eigenvalues(g).eigenvalues
-    if p > n:
-        evs = np.concatenate([np.zeros(p - n), evs * (n / p)])
-    return np.clip(evs, 0.0, None), trace_stat
+    out = []
+    for record in records:
+        x = segment_matrix(record, config.shape)
+        # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
+        g = gram(x) if p <= n else gram(x.T)
+        trace_stat = _sum_of_squares(x) / (p * p) if kernels is None else None
+        del x, record
+        try:
+            evs = sym_eigenvalues(g).eigenvalues
+        except EigensolverError as exc:
+            log.warning("replicate %d failed: %s", replicate, exc)
+            out.append(None)
+            continue
+        finally:
+            del g
+        if p > n:
+            evs = np.concatenate([np.zeros(p - n), evs * (n / p)])
+        out.append((np.clip(evs, 0.0, None), trace_stat))
+    return out
 
 
 def _sum_of_squares(record: np.ndarray) -> float:
@@ -232,19 +263,40 @@ def _sum_of_squares(record: np.ndarray) -> float:
     return float(np.sum(np.multiply(record, record, out=record)))
 
 
-def _distance_tables(cdf: EmpiricalCdf, candidates: dict) -> tuple[dict, dict]:
-    """KS and W1 distances of `cdf` to each candidate law.  The two distances
+def _replicates(config: EnsembleConfig, kernels=None) -> list:
+    """`_one_replicate` of every replicate, in replicate order.  Replicates
+    may run on `config.jobs` threads; the order of the results is theirs."""
+    def work(r: int) -> list:
+        return _one_replicate(config, r, kernels)
+
+    if config.jobs > 1:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            return list(pool.map(work, range(config.replicates)))
+    return [work(r) for r in range(config.replicates)]
+
+
+def _pooled_eigenvalues(config: EnsembleConfig, kernels) -> list[np.ndarray]:
+    """Pooled eigenvalues of the ensemble on `config` for each of `kernels`,
+    from one draw of each replicate's stream; every kernel but the last is
+    the unit kernel.  Raises EigensolverError when every replicate of one
+    kernel failed."""
+    pooled = []
+    for results in zip(*_replicates(config, kernels)):
+        evs = [result[0] for result in results if result is not None]
+        if not evs:
+            raise EigensolverError(f"eigensolve: all {config.replicates} replicates failed")
+        pooled.append(np.concatenate(evs))
+    return pooled
+
+
+def _distance_tables(eigenvalues: np.ndarray, candidates: dict) -> tuple[dict, dict]:
+    """KS and W1 distances of the empirical CDF of `eigenvalues` to each
+    candidate law; with no candidates no CDF is built.  The two distances
     of a pair are taken one after the other, so they share one evaluation
     of the pair's knots."""
+    cdf = EmpiricalCdf(eigenvalues) if candidates else None
     pairs = [(label, ks_distance(cdf, law), wasserstein1(cdf, law)) for label, law in candidates.items()]
     return {label: ks for label, ks, _ in pairs}, {label: w1 for label, _, w1 in pairs}
-
-
-def _pooled_ks(config: EnsembleConfig, candidates: dict) -> dict:
-    """Pooled KS of an ensemble on `config` to each candidate law; the
-    ensemble runs without candidates, so no per-replicate table is taken."""
-    cdf = EmpiricalCdf(np.concatenate(run_ensemble(config, {}).eigenvalues))
-    return {label: ks_distance(cdf, law) for label, law in candidates.items()}
 
 
 def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> EnsembleReport:
@@ -256,38 +308,24 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
     """
     if candidates is None:
         candidates = _candidate_cdfs(config)
-
-    def worker(r: int):
-        try:
-            return _one_replicate(config, r)
-        except EigensolverError as exc:
-            log.warning("replicate %d failed: %s", r, exc)
-            return None
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            raw = list(pool.map(worker, range(config.replicates)))
-    else:
-        raw = [worker(r) for r in range(config.replicates)]
-
     eigenvalues: list[np.ndarray] = []
     trace_stats: list[float] = []
     failed: list[int] = []
     per_ks: list[dict] = []
     per_w1: list[dict] = []
-    for r, result in enumerate(raw):
+    for r, [result] in enumerate(_replicates(config)):
         if result is None:
             failed.append(r)
             continue
         evs, trace_stat = result
         eigenvalues.append(evs)
         trace_stats.append(trace_stat)
-        ks, w1 = _distance_tables(EmpiricalCdf(evs), candidates)
+        ks, w1 = _distance_tables(evs, candidates)
         per_ks.append(ks)
         per_w1.append(w1)
     if not eigenvalues:
         raise EigensolverError(f"eigensolve: all {config.replicates} replicates failed")
-    pooled_ks, pooled_w1 = _distance_tables(EmpiricalCdf(np.concatenate(eigenvalues)), candidates)
+    pooled_ks, pooled_w1 = _distance_tables(np.concatenate(eigenvalues), candidates)
     return EnsembleReport(
         config=config.to_json(),
         replicate_seeds=tuple(derive_seed(config.base_seed, r) for r in range(config.replicates)),
@@ -368,11 +406,17 @@ def calibrate_equation_variant(
     ensemble per base seed, and requires that exactly one variant
     reaches pooled KS <= pass_threshold while every other stays >= 0.10,
     identically across seeds.  A confirmation ensemble with a dependent
-    process, the first-order moving average MA(0.5), must also pass.  Only
-    the pooled KS of each ensemble is read, so only it is computed: one
-    KS distance per candidate law and ensemble, none per replicate.
-    Raises CalibrationError when the adjudication is ambiguous.  `settings`
-    are passed on to every `EnsembleConfig`.
+    process, the first-order moving average MA(0.5), must also pass.  It
+    filters the innovation streams of the first seed's white-noise
+    replicates, which it shares draw for draw (same seeds, same horizon), so
+    each of those streams is drawn once for both ensembles.  The
+    confirmation's law is solved, and its KS taken, only after a decisive
+    verdict; a calibration that fails has still paid for the confirmation's
+    Grams and eigensolves.  Only the pooled KS of each ensemble is read, so
+    only it is computed: one KS distance per candidate law and ensemble,
+    none per replicate.  Raises CalibrationError when the adjudication is
+    ambiguous.  `settings` are passed on to every `EnsembleConfig`; the
+    confirmation's spec is checked against them before any record is drawn.
     """
     y = p / n
     if abs(y - 1.0) < 0.05:
@@ -381,9 +425,8 @@ def calibrate_equation_variant(
             "role axes coincide at y = 1; use a ratio bounded away from one"
         )
     variants = all_variants()
-    white = CoefficientModel.white_noise()
     base_config = EnsembleConfig(
-        model=white,
+        model=CoefficientModel.white_noise(),
         p=p,
         n=n,
         replicates=replicates,
@@ -391,14 +434,21 @@ def calibrate_equation_variant(
         variants=variants,
         **settings,
     )
+    confirm_config = replace(base_config, model=CoefficientModel.ma([0.5]))
+    # one horizon for both (the one set, or n), so they can share their draws
+    kernels = [c.replicate_spec(0).coefficient_array() for c in (base_config, confirm_config)]
     laws = _candidate_laws(base_config)
     candidates = {label: lsd_cdf(law) for label, law in laws.items()}
     in_range = {label: law_range_violation(law) is None for label, law in laws.items()}
 
+    white_pooled, confirm_pooled = _pooled_eigenvalues(base_config, kernels)
     evidence: list[dict] = []
     selections: list[str] = []
-    for seed in base_seeds:
-        pooled_ks = _pooled_ks(replace(base_config, base_seed=seed), candidates)
+    for i, seed in enumerate(base_seeds):
+        if i:
+            white_pooled = np.concatenate(run_ensemble(replace(base_config, base_seed=seed), {}).eigenvalues)
+        cdf = EmpiricalCdf(white_pooled)
+        pooled_ks = {label: ks_distance(cdf, law) for label, law in candidates.items()}
         passing = [v for v in variants if pooled_ks[v.label] <= pass_threshold]
         others_fail = all(
             pooled_ks[v.label] >= _FAIL_THRESHOLD
@@ -424,11 +474,10 @@ def calibrate_equation_variant(
         )
     selected = EquationVariant.parse(selections[0])
 
-    confirm = CoefficientModel.ma([0.5])
-    confirm_config = replace(base_config, model=confirm, variants=(selected,))
-    confirm_ks = _pooled_ks(confirm_config, _candidate_cdfs(confirm_config))[selected.label]
+    confirm_law = _candidate_cdfs(replace(confirm_config, variants=(selected,)))[selected.label]
+    confirm_ks = ks_distance(EmpiricalCdf(confirm_pooled), confirm_law)
     confirmation = {
-        "model": confirm.label(),
+        "model": confirm_config.model.label(),
         "ks_pooled": confirm_ks,
         "passed": confirm_ks <= pass_threshold,
     }

@@ -690,6 +690,29 @@ class TestCalibrateCommand:
         assert evidence[0] == "seed,variant,ks_pooled,passed"
         assert len(evidence) == 1 + 8 * 3
 
+    def test_byte_identical_across_jobs(self, tmp_path):
+        # the first seed's pass shares its draws with the confirmation on the pool
+        cfg = write_config(tmp_path, {"command": "calibrate", "p": 64, "n": 128,
+                                      "replicates": 4, "seed": 11})
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert run(["calibrate", "--config", cfg, "--jobs", "1", "--out", str(out1)]) == 0
+        assert run(["calibrate", "--config", cfg, "--jobs", "2", "--out", str(out2)]) == 0
+        for name in ("verdict.json", "evidence.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_confirmation_horizon_rejected_before_any_draw(self, tmp_path, monkeypatch, caplog):
+        # a horizon of 0 suits white noise but not the MA(0.5) confirmation
+        from lpspec import process
+
+        monkeypatch.setattr(process, "draw_innovations", lambda *args: pytest.fail("drew a record"))
+        out = tmp_path / "run"
+        doc = {"command": "calibrate", "p": 64, "n": 128, "replicates": 4, "horizon": 0}
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run(["calibrate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert "horizon 0 is below the order 1 of ma(0.5)" in message
+
 
 def test_benchmark_wrap_targets_resolve():
     # the benchmark tracer skips missing targets silently; a renamed call

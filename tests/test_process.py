@@ -7,7 +7,6 @@ from scipy import signal
 from lpspec.process import (
     _BLOCK,
     _DIRECT_TAPS,
-    _filtered_record,
     CoefficientModel,
     DecayAssumptionWarning,
     InnovationSpec,
@@ -18,6 +17,7 @@ from lpspec.process import (
     decay_envelope_constant,
     default_horizon,
     draw_innovations,
+    filtered_records,
     simulate_record,
     spectral_density,
     tail_energy,
@@ -237,7 +237,15 @@ class TestSimulateRecord:
     def test_kernel_longer_than_the_horizon_rejected(self):
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(), 1)
         with pytest.raises(ValueError, match="horizon of at least 2, not 1"):
-            _filtered_record(spec, np.ones(3), 10)
+            next(filtered_records(spec, 10, (np.ones(3),)))
+
+    def test_only_the_unit_kernel_leaves_its_draws_to_the_next(self):
+        spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(seed=2), 1)
+        records = filtered_records(spec, 100, (np.array([1.0, 0.0]), np.array([1.0, 0.5])))
+        assert next(records).tobytes() == draw_innovations(spec.innovations, 101)[1:].tobytes()
+        assert next(records).tobytes() == simulate_record(spec, 100).tobytes()
+        with pytest.raises(ValueError, match="only the unit kernel"):
+            next(filtered_records(spec, 100, (np.array([1.0, 0.5]),) * 2))
 
 
 class TestHorizonAndTail:

@@ -167,7 +167,7 @@ class TestReplicateEigenvalues:
     @pytest.mark.parametrize("p, n", [(96, 40), (33, 32)])
     def test_smaller_side_at_p_above_n(self, p, n):
         config = EnsembleConfig(model=self.MA, p=p, n=n, replicates=2, base_seed=4)
-        evs, _ = _one_replicate(config, 1)
+        [(evs, _)] = _one_replicate(config, 1)
         assert evs.shape == (p,)
         assert np.all(np.diff(evs) >= 0)
         assert np.all(evs[: p - n] == 0.0)
@@ -179,7 +179,7 @@ class TestReplicateEigenvalues:
     @pytest.mark.parametrize("p, n", [(40, 96), (32, 32)])
     def test_full_gram_at_p_up_to_n(self, p, n):
         config = EnsembleConfig(model=self.MA, p=p, n=n, replicates=2, base_seed=4)
-        evs, trace_stat = _one_replicate(config, 1)
+        [(evs, trace_stat)] = _one_replicate(config, 1)
         x = replicate_matrix(config, 1)
         expected = np.clip(sym_eigenvalues(gram(x)).eigenvalues, 0, None)
         assert evs.tobytes() == expected.tobytes()
@@ -199,6 +199,52 @@ class TestReplicateEigenvalues:
         finally:
             tracemalloc.stop()
         assert floor <= peak <= 1.01 * floor + 8 * _BLOCK
+
+    def white_and_ma_kernels(self, config):
+        return [c.replicate_spec(0).coefficient_array() for c in (config, replace(config, model=self.MA))]
+
+    @pytest.mark.parametrize("p, n", [(1024, 512), (512, 1024), (1024, 1024)])
+    def test_shared_replicate_holds_one_draw_and_one_gram(self, p, n):
+        # white noise and MA(0.5) from one draw: a second record would add
+        # 8 p n bytes.  The draws outlive the first eigensolve, so its
+        # exact-symmetry mask (one byte per Gram cell) lands on top of them
+        config = EnsembleConfig(model=WHITE, p=p, n=n, replicates=1, base_seed=4)
+        kernels = self.white_and_ma_kernels(config)
+        floor = 8 * (p * n + config.resolved_horizon() + min(p, n) ** 2)
+        _one_replicate(config, 0, kernels)
+        tracemalloc.start()
+        try:
+            _one_replicate(config, 0, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert floor <= peak <= 1.01 * floor + 8 * _BLOCK + min(p, n) ** 2
+
+    def test_shared_draw_matches_separate_ensembles(self):
+        # eigenvalues bit for bit, at p > n too; no trace statistic is taken
+        config = EnsembleConfig(model=WHITE, p=48, n=40, replicates=1, base_seed=4)
+        shared = _one_replicate(config, 0, self.white_and_ma_kernels(config))
+        separate = [_one_replicate(c, 0)[0][0] for c in (config, replace(config, model=self.MA))]
+        assert [trace for _, trace in shared] == [None, None]
+        assert [evs.tobytes() for evs, _ in shared] == [evs.tobytes() for evs in separate]
+
+    def test_failed_eigensolve_drops_only_its_model(self, monkeypatch):
+        import lpspec.verify as verify_mod
+
+        real = verify_mod.sym_eigenvalues
+        calls = []
+
+        def flaky(matrix):
+            calls.append(1)
+            if len(calls) == 1:
+                raise EigensolverError("synthetic failure")
+            return real(matrix)
+
+        monkeypatch.setattr(verify_mod, "sym_eigenvalues", flaky)
+        config = EnsembleConfig(model=WHITE, p=16, n=32, replicates=1, base_seed=4)
+        kernels = self.white_and_ma_kernels(config)
+        white, ma = _one_replicate(config, 0, kernels)
+        assert white is None and ma[0].shape == (16,)
 
 
 def pooled_cdf(model, seed, distribution="gaussian"):
@@ -337,6 +383,33 @@ class TestCalibration:
         monkeypatch.setattr(verify_mod, "ks_distance", lambda f, g: calls.append(1) or ks(f, g))
         calibrate_equation_variant(p=64, n=128, replicates=4)
         assert len(calls) == 3 * 8 + 1
+
+    def test_each_stream_drawn_once(self, monkeypatch):
+        # the confirmation filters the first seed's white-noise streams
+        import lpspec.process as process_mod
+
+        seeds = []
+        draw = process_mod.draw_innovations
+        monkeypatch.setattr(process_mod, "draw_innovations",
+                            lambda spec, count: seeds.append(spec.seed) or draw(spec, count))
+        calibrate_equation_variant(p=64, n=128, replicates=4)
+        assert sorted(seeds) == sorted(derive_seed(s, r) for s in (1, 2, 3) for r in range(4))
+
+    def test_confirmation_failing_every_replicate_raises(self, monkeypatch):
+        import lpspec.verify as verify_mod
+
+        real = verify_mod.sym_eigenvalues
+        calls = []
+
+        def failing_every_second(matrix):  # the MA(0.5) Gram of each first-seed replicate
+            calls.append(1)
+            if len(calls) <= 8 and len(calls) % 2 == 0:
+                raise EigensolverError("synthetic failure")
+            return real(matrix)
+
+        monkeypatch.setattr(verify_mod, "sym_eigenvalues", failing_every_second)
+        with pytest.raises(EigensolverError, match="all 4 replicates failed"):
+            calibrate_equation_variant(p=64, n=128, replicates=4)
 
     def test_one_solve_per_equation(self, monkeypatch):
         # the role does not enter the equation: 8 variants are 4 equations
