@@ -75,11 +75,13 @@ class CoefficientModel:
     def __post_init__(self) -> None:
         if self.kind not in ("white_noise", "explicit", "ma", "ar1", "arma", "farima"):
             raise ValueError(f"unknown coefficient model kind {self.kind!r}")
+        params = {"coefficients": self.coeffs, "phi": self.phi, "theta": self.theta, "d": (self.d,)}
+        for key, values in params.items():
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"model: key {key!r} must be finite")
         if self.kind == "explicit":
             if not self.coeffs:
                 raise ValueError("explicit model needs a non-empty coefficient list")
-            if not all(math.isfinite(c) for c in self.coeffs):
-                raise ValueError("explicit coefficients must be finite")
             if self.coeffs[0] == 0.0:
                 raise ValueError("leading coefficient c_0 must be non-zero")
         if self.kind in ("ar1", "arma") and self.phi:
@@ -419,16 +421,8 @@ class ProcessSpec:
                              f"{self.model.label()}")
 
     def coefficient_array(self) -> np.ndarray:
-        """c_0..c_J, read-only: cached per (model, horizon), as an ensemble
-        filters every replicate by them."""
-        return _kernel(self.model, self.horizon)
-
-
-@functools.lru_cache(maxsize=8)
-def _kernel(model: CoefficientModel, horizon: int) -> np.ndarray:
-    c = coefficients(model, horizon + 1)
-    c.flags.writeable = False
-    return c
+        """c_0..c_J, a fresh array on each call."""
+        return coefficients(self.model, self.horizon + 1)
 
 
 def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:

@@ -4,7 +4,8 @@ The distance functions operate on "CDF-evaluable" objects: anything exposing
 ``cdf(x)`` (from the right), ``cdf_left(x)`` (from the left) and
 ``breakpoints()``, and linear between consecutive breakpoints.  `EmpiricalCdf`
 is the step-function implementation used for eigenvalue spectra; the
-limiting-law module provides piecewise-linear ones.
+limiting-law module provides piecewise-linear ones.  Each distance is a pure
+function of its two CDFs: the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -104,45 +105,35 @@ class EmpiricalCdf:
         return self._knots
 
 
-# (f, g, distances) of the last pair measured: callers ask for both distances
-# of a pair in turn, and the second reuses the knot evaluation of the first
-_last_pair = (None, None, None)
-
-
-def _distances(f, g) -> tuple[float, float]:
-    """KS and W1 distances between two CDF-evaluable objects.
-
-    F - G is linear between consecutive knots of the union, so both are
-    exact from F - G at each knot from the right and the left.  The largest
-    absolute value is the KS distance.  On each cell between knots F - G runs
-    linearly from d0 (from the right at the left knot) to d1 (from the left
-    at the right knot), so the cell adds h (|d0| + |d1|) / 2 to W1, or h (d0^2
-    + d1^2) / (2 (|d0| + |d1|)) when the sign changes.  The pair's objects
-    must not change after a call, since the last pair's result is kept.
-    """
-    global _last_pair
-    last_f, last_g, last = _last_pair
-    if f is last_f and g is last_g:
-        return last
+def _knot_differences(f, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union knots of two CDF-evaluable objects, and F - G at each knot
+    from the right and from the left.  F - G is linear between consecutive
+    knots, so both distances are exact from these."""
     xs = np.union1d(f.breakpoints(), g.breakpoints())
     right = np.asarray(f.cdf(xs)) - np.asarray(g.cdf(xs))
     left = np.asarray(f.cdf_left(xs)) - np.asarray(g.cdf_left(xs))
-    ks = float(max(np.max(np.abs(right)), np.max(np.abs(left))))
+    return xs, right, left
+
+
+def ks_distance(f, g) -> float:
+    """Kolmogorov-Smirnov distance between two CDF-evaluable objects (exact):
+    the largest |F - G| at a knot, from the right or the left."""
+    _, right, left = _knot_differences(f, g)
+    return float(max(np.max(np.abs(right)), np.max(np.abs(left))))
+
+
+def wasserstein1(f, g) -> float:
+    """First Wasserstein distance: integral of |F - G| between the outer knots (exact).
+
+    On each cell between knots F - G runs linearly from d0 (from the right
+    at the left knot) to d1 (from the left at the right knot), so the cell
+    adds h (|d0| + |d1|) / 2, or h (d0^2 + d1^2) / (2 (|d0| + |d1|)) when
+    the sign changes.
+    """
+    xs, right, left = _knot_differences(f, g)
     d0, d1 = right[:-1], left[1:]
     a, b = np.abs(d0), np.abs(d1)
     cross = np.sign(d0) * np.sign(d1) < 0
     # a + b > 0 where the sign changes; the 1.0 fills the other cells, which may have a + b = 0
     mean = np.where(cross, (a * a + b * b) / np.where(cross, a + b, 1.0), a + b)
-    distances = ks, float(np.sum(0.5 * mean * np.diff(xs)))
-    _last_pair = (f, g, distances)
-    return distances
-
-
-def ks_distance(f, g) -> float:
-    """Kolmogorov-Smirnov distance between two CDF-evaluable objects (exact)."""
-    return _distances(f, g)[0]
-
-
-def wasserstein1(f, g) -> float:
-    """First Wasserstein distance: integral of |F - G| between the outer knots (exact)."""
-    return _distances(f, g)[1]
+    return float(np.sum(0.5 * mean * np.diff(xs)))

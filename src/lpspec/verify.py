@@ -291,12 +291,11 @@ def _pooled_eigenvalues(config: EnsembleConfig, kernels) -> list[np.ndarray]:
 
 def _distance_tables(eigenvalues: np.ndarray, candidates: dict) -> tuple[dict, dict]:
     """KS and W1 distances of the empirical CDF of `eigenvalues` to each
-    candidate law; with no candidates no CDF is built.  The two distances
-    of a pair are taken one after the other, so they share one evaluation
-    of the pair's knots."""
+    candidate law; with no candidates no CDF is built.  The CDF is built
+    once and read by every distance."""
     cdf = EmpiricalCdf(eigenvalues) if candidates else None
-    pairs = [(label, ks_distance(cdf, law), wasserstein1(cdf, law)) for label, law in candidates.items()]
-    return {label: ks for label, ks, _ in pairs}, {label: w1 for label, _, w1 in pairs}
+    return ({label: ks_distance(cdf, law) for label, law in candidates.items()},
+            {label: wasserstein1(cdf, law) for label, law in candidates.items()})
 
 
 def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> EnsembleReport:

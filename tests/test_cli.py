@@ -154,6 +154,21 @@ WHITE = {"kind": "white_noise"}
         ({"command": "solve", "model": WHITE, "y": 1.0, "horizon": -1}, "'horizon'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 1}, "'grid_points'"),
         ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 2}, "'grid_points'"),
+        # a model parameter is finite
+        ({"command": "solve", "model": {"kind": "ma", "theta": [math.nan]}, "y": 1.0}, "'theta'"),
+        ({"command": "compare", "model": {"kind": "ma", "theta": [math.inf]}, "p": 8, "n": 8}, "'theta'"),
+        ({"command": "study", "model": {"kind": "ma", "theta": [math.nan]}, "y": 1.0, "sizes": [8, 16]},
+         "'theta'"),
+        ({"command": "simulate", "model": {"kind": "ma", "theta": [math.nan]}, "p": 8, "n": 8}, "'theta'"),
+        ({"command": "solve", "model": {"kind": "ar1", "phi": math.nan}, "y": 1.0}, "'phi'"),
+        ({"command": "compare", "model": {"kind": "ar1", "phi": -math.inf}, "p": 8, "n": 8}, "'phi'"),
+        ({"command": "solve", "model": {"kind": "arma", "phi": [math.nan], "theta": [0.5]}, "y": 1.0},
+         "'phi'"),
+        ({"command": "solve", "model": {"kind": "arma", "phi": [0.5], "theta": [math.nan]}, "y": 1.0},
+         "'theta'"),
+        ({"command": "solve", "model": {"kind": "farima", "d": math.nan}, "y": 1.0}, "'d'"),
+        ({"command": "solve", "model": {"kind": "explicit", "coefficients": [1.0, math.inf]}, "y": 1.0},
+         "'coefficients'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -476,6 +491,15 @@ class TestSimulateCommand:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_byte_identical_across_jobs(self, tmp_path):
+        cfg = write_config(tmp_path, {"command": "simulate", "model": {"kind": "ma", "theta": [0.5]},
+                                      "p": 24, "n": 16, "replicates": 3, "seed": 11})
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert run(["simulate", "--config", cfg, "--jobs", "1", "--out", str(out1)]) == 0
+        assert run(["simulate", "--config", cfg, "--jobs", "2", "--out", str(out2)]) == 0
+        for name in ("eigenvalues.csv", "esd.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
 
 class TestCompareCommand:
     def test_report_contents(self, tmp_path):
@@ -590,6 +614,15 @@ class TestStudyCommand:
         rows = (out / "trend.csv").read_text().strip().splitlines()
         assert rows[0] == "n,p,ks_median,ks_iqr"
         assert len(rows) == 3
+
+    def test_byte_identical_across_jobs(self, tmp_path):
+        cfg = write_config(tmp_path, {"command": "study", "model": {"kind": "ma", "theta": [0.5]},
+                                      "y": 0.5, "sizes": [16, 32], "replicates": 3, "seed": 11})
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert run(["study", "--config", cfg, "--jobs", "1", "--out", str(out1)]) == 0
+        assert run(["study", "--config", cfg, "--jobs", "2", "--out", str(out2)]) == 0
+        for name in ("trend.csv", "study.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # a non-default value for every ensemble setting the config carries

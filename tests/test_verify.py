@@ -334,6 +334,23 @@ class TestTraceMoment:
         report = run_ensemble(cfg, candidates={})
         assert trace_moment_check(cfg, report=report) == trace_moment_check(cfg)
 
+    @pytest.mark.parametrize("distribution", ["gaussian", "rademacher", "uniform"])
+    def test_white_noise_second_moment_at_finite_n(self, distribution):
+        # for white noise E tr(M^2) / p = r^2 + r + r (sigma4 - 2) / p with
+        # r = n / p, exactly at finite p and n; the bound is 4 standard errors
+        p, n, r = 32, 64, 2.0
+        cfg = EnsembleConfig(model=WHITE, p=p, n=n, replicates=1000, base_seed=7, distribution=distribution)
+        stats = np.array([np.sum(ev * ev) / p for ev in run_ensemble(cfg, {}).eigenvalues])
+        se = stats.std(ddof=1) / np.sqrt(stats.size)
+
+        def target(sigma4):
+            return r * r + r + r * (sigma4 - 2.0) / p
+
+        assert abs(stats.mean() - target(InnovationSpec(distribution).sigma4)) <= 4.0 * se
+        # the laws' targets lie far apart, so the check sees which law was drawn
+        gaussian, rademacher = InnovationSpec("gaussian").sigma4, InnovationSpec("rademacher").sigma4
+        assert target(gaussian) - target(rademacher) > 8.0 * se
+
 
 class TestCalibration:
     def test_degenerate_ratio_rejected(self):
