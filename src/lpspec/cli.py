@@ -85,6 +85,8 @@ _DEFAULTS = {
 
 # smallest accepted value of an integer key
 _MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 3, "jobs": 1, "seed": 0, "horizon": 0}
+# largest accepted value: the longest horizon `default_horizon` searches
+_MAXIMUM = {"horizon": 2**22}
 # seeds are unsigned 64-bit integers
 _SEED_LIMIT = 2**64
 
@@ -196,6 +198,8 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             cfg[key] = _converted(cfg, key, _integer, "an integer")
             if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
                 raise ConfigError(f"key {key!r} must be at least {_MINIMUM[key]}")
+            if key in _MAXIMUM and cfg[key] > _MAXIMUM[key]:
+                raise ConfigError(f"key {key!r} must be at most {_MAXIMUM[key]}")
     extra = 2 if command == "calibrate" and cfg.get("seeds") is None else 0  # seed + 1, seed + 2
     if cfg["seed"] >= _SEED_LIMIT - extra:
         raise ConfigError(f"key 'seed' must be below 2**64{' - 2 for calibrate' if extra else ''}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import ProcessSpec, autocovariance, coefficients, draw_innovations, filtered_records
+from .process import ProcessSpec, autocovariance, draw_innovations, filtered_records
 
 __all__ = [
     "MatrixShape",
@@ -61,7 +61,7 @@ def truncated_segment_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarra
     horizon equal to n the result is bitwise identical to the untruncated
     matrix.
     """
-    kernel = coefficients(spec.model, min(spec.horizon, shape.n) + 1)
+    kernel = spec.coefficient_array()[: shape.n + 1]
     return next(filtered_records(spec, shape.cells, (kernel,))).reshape(shape.p, shape.n)
 
 
@@ -200,7 +200,7 @@ def shift_representation_check(
         raise ValueError("shift_representation_check is limited to p*n <= 1e4")
     direct = truncated_segment_matrix(spec, shape)
     z = innovation_matrix(spec, shape)
-    c = _padded(coefficients(spec.model, min(spec.horizon, shape.n) + 1), shape.n + 1)
+    c = _padded(spec.coefficient_array(), shape.n + 1)
     pair = ShiftPolynomialPair(shape.n, tuple(c))
     p = shape.p
     selector = np.hstack(

@@ -79,6 +79,8 @@ class CoefficientModel:
         for key, values in params.items():
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"model: key {key!r} must be finite")
+            if not math.isfinite(sum(v * v for v in values)):  # the density would overflow
+                raise ValueError(f"model: key {key!r} is too large: its sum of squares overflows")
         if self.kind == "explicit":
             if not self.coeffs:
                 raise ValueError("explicit model needs a non-empty coefficient list")
@@ -421,8 +423,9 @@ class ProcessSpec:
                              f"{self.model.label()}")
 
     def coefficient_array(self) -> np.ndarray:
-        """c_0..c_J, a fresh array on each call."""
-        return coefficients(self.model, self.horizon + 1)
+        """Fresh c_0..c_K, the record's kernel: K is the model's finite order, else J."""
+        order = self.model.finite_order
+        return coefficients(self.model, (self.horizon if order is None else order) + 1)
 
 
 def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
@@ -435,13 +438,6 @@ def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
     buffer.  A Rademacher draw still holds an int64 and a float64 copy of
     the stream while it draws.
     """
-    if length < 1:
-        raise ValueError("record length must be >= 1")
-    if spec.horizon + length > _MAX_INDEX:
-        raise ValueError(
-            f"record of length {length} at horizon {spec.horizon} exceeds the "
-            "supported index range"
-        )
     return next(filtered_records(spec, length, (spec.coefficient_array(),)))
 
 
@@ -464,6 +460,11 @@ def filtered_records(spec: ProcessSpec, length: int, kernels):
     level; the draws are released before the inverse transform.
     """
     j = spec.horizon
+    if length < 1:
+        raise ValueError("record length must be >= 1")
+    if j + length > _MAX_INDEX:
+        raise ValueError(f"record of length {length} at horizon {j} exceeds the "
+                         "supported index range")
     trimmed = []
     for kernel in kernels:
         nz = np.nonzero(kernel)[0]

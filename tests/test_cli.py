@@ -169,6 +169,19 @@ WHITE = {"kind": "white_noise"}
         ({"command": "solve", "model": {"kind": "farima", "d": math.nan}, "y": 1.0}, "'d'"),
         ({"command": "solve", "model": {"kind": "explicit", "coefficients": [1.0, math.inf]}, "y": 1.0},
          "'coefficients'"),
+        # a horizon past the longest one `default_horizon` searches
+        ({"command": "solve", "model": {"kind": "farima", "d": -0.2}, "y": 1.0, "tail_tol": 1e-6,
+          "horizon": 2**31 - 1}, "'horizon'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "horizon": 2**31 - 1}, "'horizon'"),
+        ({"command": "simulate", "model": WHITE, "p": 8, "n": 8, "horizon": 2**31 - 1}, "'horizon'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "horizon": 2**31 - 1}, "'horizon'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": [8, 16], "horizon": 2**31 - 1},
+         "'horizon'"),
+        # a model parameter whose spectral density overflows
+        ({"command": "solve", "model": {"kind": "ma", "theta": [1e200]}, "y": 1.0}, "'theta'"),
+        ({"command": "compare", "model": {"kind": "ma", "theta": [1e200]}, "p": 8, "n": 8}, "'theta'"),
+        ({"command": "solve", "model": {"kind": "explicit", "coefficients": [1.0, 1e154, 1e154]},
+          "y": 1.0}, "'coefficients'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -179,6 +192,18 @@ def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
         assert run(argv) == 2
     assert any(key in rec.getMessage() for rec in caplog.records)
     assert not (tmp_path / "run").exists()
+
+
+def test_horizon_bound_is_the_longest_default_horizon(tmp_path):
+    import inspect
+
+    from lpspec.process import default_horizon
+
+    longest = inspect.signature(default_horizon).parameters["max_horizon"].default
+    doc = {"command": "compare", "model": WHITE, "p": 8, "n": 8, "horizon": longest}
+    assert parse_config(write_config(tmp_path, doc), {})["horizon"] == longest
+    with pytest.raises(ConfigError, match=f"key 'horizon' must be at most {longest}$"):
+        parse_config(write_config(tmp_path, {**doc, "horizon": longest + 1}), {})
 
 
 def test_non_finite_y_literal_and_flag_exit_2_naming_key(tmp_path, caplog):
@@ -708,6 +733,56 @@ class TestCalibrateCommand:
         assert not out.exists() or not any(out.iterdir())
         message = " ".join(rec.getMessage() for rec in caplog.records)
         assert "ambiguous calibration at seed 0" in message
+
+    @staticmethod
+    def scripted_ks(monkeypatch, passing):
+        """Replace `ks_distance` in `lpspec.verify`: at the i-th seed only
+        `passing[i]` passes (KS 0, every other variant 0.5), and the
+        confirmation reads 0.5."""
+        import lpspec.verify as verify_mod
+        from lpspec.lsd import all_variants
+
+        labels = [v.label for v in all_variants()]
+        calls = []
+
+        def ks(cdf, law):
+            seed, variant = divmod(len(calls), len(labels))
+            calls.append(1)
+            return 0.0 if seed < len(passing) and labels[variant] == passing[seed] else 0.5
+
+        monkeypatch.setattr(verify_mod, "ks_distance", ks)
+
+    def assert_refused(self, tmp_path, monkeypatch, caplog, passing, message):
+        from lpspec.verify import CalibrationError, calibrate_equation_variant
+
+        settings = {"replicates": 1, "grid_points": 64}
+        self.scripted_ks(monkeypatch, passing)
+        with pytest.raises(CalibrationError) as err:
+            calibrate_equation_variant(p=8, n=16, base_seeds=(5, 6), **settings)
+        assert str(err.value) == message
+        evidence = err.value.evidence
+        assert [(e["seed"], e["variant"]) for e in evidence if e["passed"]] == list(zip((5, 6), passing))
+        assert len(evidence) == 2 * 8 and {e["ks_pooled"] for e in evidence} == {0.0, 0.5}
+
+        self.scripted_ks(monkeypatch, passing)
+        out = tmp_path / "run"
+        doc = {"command": "calibrate", "p": 8, "n": 16, "seeds": [5, 6], **settings}
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            code = run(["calibrate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 3
+        assert message in " ".join(rec.getMessage() for rec in caplog.records)
+        assert not (out / "verdict.json").exists() and not (out / "evidence.csv").exists()
+
+    def test_unstable_verdict_exit_code(self, tmp_path, monkeypatch, caplog):
+        passing = ("normalized-yinv-direct", "normalized-y-direct")
+        self.assert_refused(tmp_path, monkeypatch, caplog, passing,
+                            f"verdict unstable across seeds: {list(passing)}")
+
+    def test_failed_confirmation_exit_code(self, tmp_path, monkeypatch, caplog):
+        passing = ("normalized-yinv-direct",) * 2
+        self.assert_refused(tmp_path, monkeypatch, caplog, passing,
+                            "selected variant normalized-yinv-direct failed the "
+                            "dependent-process confirmation (KS = 0.5000)")
 
     def test_small_calibration_run(self, tmp_path):
         out = tmp_path / "run"

@@ -234,6 +234,15 @@ class TestSimulateRecord:
         ref = np.fft.irfft(np.fft.rfft(draws, size) * np.fft.rfft(kernel, size), size)
         assert simulate_record(spec, length).tobytes() == ref[j : j + length].tobytes()
 
+    def test_coefficient_array_is_the_kernel_a_record_is_filtered_by(self):
+        # c_0..c_K: K is the order of a finite-order model and the horizon otherwise
+        spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(), 1024)
+        assert spec.coefficient_array().tolist() == [1.0, 0.5]
+        spec = ProcessSpec(CoefficientModel.explicit([1.0, 0.5, 0.25, 0.0]), InnovationSpec(), 16)
+        assert spec.coefficient_array().tolist() == [1.0, 0.5, 0.25]
+        spec = ProcessSpec(CoefficientModel.ar1(0.9), InnovationSpec(), 131)
+        assert spec.coefficient_array().size == 132
+
     def test_kernel_longer_than_the_horizon_rejected(self):
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(), 1)
         with pytest.raises(ValueError, match="horizon of at least 2, not 1"):
@@ -287,6 +296,15 @@ class TestHorizonAndTail:
         m = CoefficientModel.farima(-0.2)
         c = coefficients(m, 200_000)
         assert abs(total_energy(m) - float(c @ c)) < 1e-4
+
+    def test_total_energy_of_a_list_and_of_farima_zero(self):
+        # sums of squares that binary floating point holds exactly
+        assert total_energy(CoefficientModel.explicit([1.0, -0.5, 0.25, 0.0, 2.0])) == 5.3125
+        assert total_energy(CoefficientModel.farima(0.0)) == 1.0
+
+    def test_tail_energy_of_a_finite_order_model(self):
+        m = CoefficientModel.ma([0.5, -0.25, 0.125])
+        assert [tail_energy(m, h) for h in range(5)] == [0.328125, 0.078125, 0.015625, 0.0, 0.0]
 
     def test_tail_energy_monotone(self):
         m = CoefficientModel.ar1(0.5)

@@ -352,6 +352,26 @@ class TestTraceMoment:
         assert target(gaussian) - target(rademacher) > 8.0 * se
 
 
+def test_index_range_checked_before_any_draw(monkeypatch):
+    # a record, a truncated matrix and a shared calibrate replicate pass the
+    # one check in `filtered_records`: indices 1-J .. 16 take J + 16 > 2**31 draws
+    import lpspec.process as process_mod
+    from lpspec.matrices import truncated_segment_matrix
+
+    monkeypatch.setattr(process_mod, "draw_innovations", lambda *args: pytest.fail("drew a record"))
+    config = EnsembleConfig(model=WHITE, p=4, n=4, replicates=1, base_seed=0, horizon=2**31 - 8)
+    confirm = replace(config, model=CoefficientModel.ma([0.5]))
+    kernels = [c.replicate_spec(0).coefficient_array() for c in (config, confirm)]
+    spec = confirm.replicate_spec(0)
+    messages = set()
+    for call in (lambda: simulate_record(spec, 16), lambda: truncated_segment_matrix(spec, config.shape),
+                 lambda: _one_replicate(config, 0, kernels)):
+        with pytest.raises(ValueError, match="index range") as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {"record of length 16 at horizon 2147483640 exceeds the supported index range"}
+
+
 class TestCalibration:
     def test_degenerate_ratio_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
