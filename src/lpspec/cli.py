@@ -34,7 +34,14 @@ from .lsd import (
     lsd_cdf,
     solve_lsd,
 )
-from .process import CoefficientModel, InnovationSpec, ProcessSpec, default_horizon, spectral_density
+from .process import (
+    MAX_HORIZON,
+    CoefficientModel,
+    InnovationSpec,
+    ProcessSpec,
+    default_horizon,
+    spectral_density,
+)
 from .spectra import EigensolverError
 from .verify import (
     CalibrationError,
@@ -85,8 +92,9 @@ _DEFAULTS = {
 
 # smallest accepted value of an integer key
 _MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 3, "jobs": 1, "seed": 0, "horizon": 0}
-# largest accepted value: the longest horizon `default_horizon` searches
-_MAXIMUM = {"horizon": 2**22}
+# largest accepted value: the longest horizon `default_horizon` searches, which
+# bounds `n` too, as `n` sets the default horizon
+_MAXIMUM = {"horizon": MAX_HORIZON, "n": MAX_HORIZON}
 # seeds are unsigned 64-bit integers
 _SEED_LIMIT = 2**64
 

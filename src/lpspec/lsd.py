@@ -57,6 +57,7 @@ upper half-plane.  At b, s < -1/max f is real, so F(b) = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -100,6 +101,9 @@ _BISECTIONS, _SCAN_ENTRIES, _MIN_INTERVAL_POINTS = 50, 1 << 16, 16
 _RATIONAL_LEVELS = 6, 3
 # the highest order of a rational f whose kernel is summed by residues
 _EXACT_ORDER = 3
+# the peaks of f the solver handles: bisected at y in {0.1, 1, 10} on both
+# kernels, it solves peaks from about 5e-109 to 1.3e102
+_PEAK_RANGE = 1e-101, 1e101
 # frequencies on [0, pi] that sample a rational f for its median
 _MEDIAN_SAMPLES = 512
 # an interval reaching below the median m of f is graded in decades
@@ -418,7 +422,12 @@ class _Population:
         # the zero samples, a share 1 - share, lie below every t
         half = np.searchsorted(np.cumsum(self.w), self.share - 0.5)
         self.median = float(self.t[half]) if self.share > 0.5 else 0.0
-        self.inverse = 1.0 / self.t
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """1/t, taken once `_kernel` has found the peak of f in range: a
+        subnormal peak would overflow it."""
+        return 1.0 / self.t
 
     def __call__(self, s):
         s = np.asarray(s)
@@ -455,14 +464,22 @@ class _Population:
 
 def _kernel(f, config: SolverConfig):
     """The exact kernel for a SpectralDensity of order up to _EXACT_ORDER,
-    else the trapezoid kernel on config.quadrature_points frequencies."""
+    else the trapezoid kernel on config.quadrature_points frequencies.
+    Raises NumericalError when the peak of f lies outside _PEAK_RANGE."""
+    kernel = None
     if isinstance(f, SpectralDensity) and np.any(f.ma_coeffs) and np.any(f.ar_coeffs):
         # trailing coefficients below the rounding of the largest are zeros
         ma, ar = (c[:np.flatnonzero(np.abs(c) > _EPS * np.abs(c).max())[-1] + 1]
                   for c in (f.ma_coeffs, f.ar_coeffs))
         if max(ma.size, ar.size) - 1 <= _EXACT_ORDER:
-            return _Rational(ma, ar)
-    return _Population(f, config)
+            kernel = _Rational(ma, ar)
+    if kernel is None:
+        kernel = _Population(f, config)
+    low, high = _PEAK_RANGE
+    if not low <= kernel.high <= high:
+        raise NumericalError(f"spectral density peak {kernel.high!r} lies outside "
+                             f"[{low:g}, {high:g}], the range the solver handles")
+    return kernel
 
 
 def _blocks(s: np.ndarray, columns: int) -> list[np.ndarray]:

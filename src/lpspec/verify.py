@@ -23,6 +23,7 @@ white-noise draws.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -275,20 +276,6 @@ def _replicates(config: EnsembleConfig, kernels=None) -> list:
     return [work(r) for r in range(config.replicates)]
 
 
-def _pooled_eigenvalues(config: EnsembleConfig, kernels) -> list[np.ndarray]:
-    """Pooled eigenvalues of the ensemble on `config` for each of `kernels`,
-    from one draw of each replicate's stream; every kernel but the last is
-    the unit kernel.  Raises EigensolverError when every replicate of one
-    kernel failed."""
-    pooled = []
-    for results in zip(*_replicates(config, kernels)):
-        evs = [result[0] for result in results if result is not None]
-        if not evs:
-            raise EigensolverError(f"eigensolve: all {config.replicates} replicates failed")
-        pooled.append(np.concatenate(evs))
-    return pooled
-
-
 def _distance_tables(eigenvalues: np.ndarray, candidates: dict) -> tuple[dict, dict]:
     """KS and W1 distances of the empirical CDF of `eigenvalues` to each
     candidate law; with no candidates no CDF is built.  The CDF is built
@@ -307,12 +294,20 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
     """
     if candidates is None:
         candidates = _candidate_cdfs(config)
+    return _report(config, (result for [result] in _replicates(config)), candidates)
+
+
+def _report(config: EnsembleConfig, results, candidates: dict) -> EnsembleReport:
+    """The report of the ensemble on `config` from the `_one_replicate`
+    result of each replicate, in replicate order: a failed replicate is
+    recorded, and every other is compared against `candidates`, alone and
+    pooled.  Raises EigensolverError when every replicate failed."""
     eigenvalues: list[np.ndarray] = []
     trace_stats: list[float] = []
     failed: list[int] = []
     per_ks: list[dict] = []
     per_w1: list[dict] = []
-    for r, [result] in enumerate(_replicates(config)):
+    for r, result in enumerate(results):
         if result is None:
             failed.append(r)
             continue
@@ -440,13 +435,15 @@ def calibrate_equation_variant(
     candidates = {label: lsd_cdf(law) for label, law in laws.items()}
     in_range = {label: law_range_violation(law) is None for label, law in laws.items()}
 
-    white_pooled, confirm_pooled = _pooled_eigenvalues(base_config, kernels)
+    white, confirm = (_report(config, results, {}) for config, results
+                      in zip((base_config, confirm_config), zip(*_replicates(base_config, kernels))))
+    # one report per seed, each simulated only once the seed before is decided
+    reports = itertools.chain([white], (run_ensemble(replace(base_config, base_seed=seed), {})
+                                        for seed in base_seeds[1:]))
     evidence: list[dict] = []
     selections: list[str] = []
-    for i, seed in enumerate(base_seeds):
-        if i:
-            white_pooled = np.concatenate(run_ensemble(replace(base_config, base_seed=seed), {}).eigenvalues)
-        cdf = EmpiricalCdf(white_pooled)
+    for seed, report in zip(base_seeds, reports):
+        cdf = EmpiricalCdf(np.concatenate(report.eigenvalues))
         pooled_ks = {label: ks_distance(cdf, law) for label, law in candidates.items()}
         passing = [v for v in variants if pooled_ks[v.label] <= pass_threshold]
         others_fail = all(
@@ -474,7 +471,7 @@ def calibrate_equation_variant(
     selected = EquationVariant.parse(selections[0])
 
     confirm_law = _candidate_cdfs(replace(confirm_config, variants=(selected,)))[selected.label]
-    confirm_ks = ks_distance(EmpiricalCdf(confirm_pooled), confirm_law)
+    confirm_ks = ks_distance(EmpiricalCdf(np.concatenate(confirm.eigenvalues)), confirm_law)
     confirmation = {
         "model": confirm_config.model.label(),
         "ks_pooled": confirm_ks,

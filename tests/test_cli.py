@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,9 @@ WHITE = {"kind": "white_noise"}
         ({"command": "compare", "model": {"kind": "ma", "theta": [1e200]}, "p": 8, "n": 8}, "'theta'"),
         ({"command": "solve", "model": {"kind": "explicit", "coefficients": [1.0, 1e154, 1e154]},
           "y": 1.0}, "'coefficients'"),
+        # an n past the longest default horizon, which it would set
+        ({"command": "solve", "model": WHITE, "y": 1.0, "n": 2**22 + 1}, "'n'"),
+        ({"command": "compare", "model": WHITE, "p": 1, "n": 2**22 + 1}, "'n'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -194,16 +198,37 @@ def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"command": "solve",', "config file is not valid JSON"),
+        ('[{"command": "solve"}]', "config file must hold a JSON object"),
+        ('{"command": "solve", "model": {"kind": "white_noise"}, "y": 1.0, "solver": 5}',
+         "solver must be a JSON object"),
+    ],
+    ids=["not-json", "list", "solver-number"],
+)
+def test_malformed_config_file_exits_2(tmp_path, caplog, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert any(message in rec.getMessage() for rec in caplog.records)
+    assert not (tmp_path / "run").exists()
+
+
 def test_horizon_bound_is_the_longest_default_horizon(tmp_path):
+    # n sets the default horizon, so it has the same bound
     import inspect
 
     from lpspec.process import default_horizon
 
     longest = inspect.signature(default_horizon).parameters["max_horizon"].default
-    doc = {"command": "compare", "model": WHITE, "p": 8, "n": 8, "horizon": longest}
-    assert parse_config(write_config(tmp_path, doc), {})["horizon"] == longest
-    with pytest.raises(ConfigError, match=f"key 'horizon' must be at most {longest}$"):
-        parse_config(write_config(tmp_path, {**doc, "horizon": longest + 1}), {})
+    for key in ("horizon", "n"):
+        doc = {"command": "compare", "model": WHITE, "p": 1, "n": 8, key: longest}
+        assert parse_config(write_config(tmp_path, doc), {})[key] == longest
+        with pytest.raises(ConfigError, match=f"key '{key}' must be at most {longest}$"):
+            parse_config(write_config(tmp_path, {**doc, key: longest + 1}), {})
 
 
 def test_non_finite_y_literal_and_flag_exit_2_naming_key(tmp_path, caplog):
@@ -388,8 +413,30 @@ class TestSolveCommand:
         assert "raw-y-companion" in message and "y = 0.5" in message
 
 
+@pytest.mark.parametrize(
+    "command, model, peak",
+    [
+        ("solve", {"kind": "ma", "theta": [1e52]}, "1e+104"),
+        ("solve", {"kind": "explicit", "coefficients": [1e-55]}, "1e-110"),
+        ("compare", {"kind": "ma", "theta": [1e52]}, "1e+104"),
+    ],
+)
+def test_density_peak_outside_the_solver_range_exits_3(tmp_path, caplog, command, model, peak):
+    doc = {"command": command, "model": model, **({"y": 1.0} if command == "solve" else {"p": 8, "n": 8})}
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            assert run([command, "--out", str(out), "--config", write_config(tmp_path, doc)]) == 3
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"numerical failure: spectral density peak {peak} lies outside [1e-101, 1e+101], "
+        "the range the solver handles"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 # SHA-256 of the files `solve` writes for the four laws of the benchmark's
-# `law` workload and one trapezoid-kernel law.  The solve is deterministic,
+# `law` workload, one trapezoid-kernel law and one law whose density peaks at
+# 1e100, near the top of the range the solver handles.  The solve is deterministic,
 # so they pin every byte.  The density.csv digests date from before the
 # writers shared their float texts; lsd.json and cdf.csv changed when the
 # CDF came to be read off the solved roots.
@@ -414,6 +461,10 @@ SOLVE_DIGESTS = {
         "lsd.json": "5e15d688a1d4503393fed2d6758f6c255c0e79c4f098e9572f4755f99e6efce5",
         "density.csv": "40d31fcc51db5508e15e268b595d0f3d2db21d1e257d32bd7108d924a3eba8fc",
         "cdf.csv": "4babe7f651b171b8890d6a092aa2473daf6c12503bb7e45bd2398f38221178b6"}),
+    "peak": ({"kind": "ma", "theta": [1e50]}, 1.0, {}, {
+        "lsd.json": "e1375587f63937131d34a95262ff87a7665b053688918af6878c36bda94090c2",
+        "density.csv": "5645003431689087d3dd0dedccd09efa344043f2ba950af2f9d1535d05174aa9",
+        "cdf.csv": "730dafad4c9b3f4ae521159eb22d6a1ba312e13bcda5555db751d41074422d81"}),
 }
 
 
@@ -872,6 +923,31 @@ def test_benchmark_invocations_parse(tmp_path):
                 parsed.append(inv.command)
     assert sorted(set(parsed)) == ["calibrate", "compare", "solve"]
     assert len(parsed) == 2 * (4 + 1 + 1)
+
+
+@pytest.mark.parametrize("name", ["law", "mc", "calibrate"])
+def test_benchmark_expected_spans_fire(tmp_path, monkeypatch, name):
+    # a refactor that drops a traced call site would zero its per-layer
+    # metrics; run each workload at toy sizes under the benchmark's tracer
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+    import workloads
+
+    seed = workloads.cli_seeds(name, 7)[0]
+    tracer = tracing.Tracer().install()
+    try:
+        for inv in workloads.WORKLOADS[name].invocations(toy=True):
+            config = Path(write_config(tmp_path, inv.config, f"{inv.name}.json"))
+            # looked up on the module at call time: that is the name the tracer wraps
+            assert lpspec.cli.run(inv.argv(config, tmp_path / inv.name, seed, jobs=1)) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    expected = workloads.EXPECTED_SPANS[name]
+    if name == "law":  # pure lsd work
+        assert tracer.fired() == expected
+    else:
+        assert expected <= tracer.fired(), expected - tracer.fired()
 
 
 def test_public_surface_resolves():

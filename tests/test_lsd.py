@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from lpspec.lsd import (
     ConvergenceError,
     EquationVariant,
     LsdSolution,
+    NumericalError,
     SolverConfig,
     all_variants,
     law_range_violation,
@@ -141,6 +143,45 @@ class TestSolveStieltjes:
         bad = lambda w: np.cos(w)  # takes negative values
         with pytest.raises(ValueError, match="non-negative"):
             solve_stieltjes(bad, 1.0, 1j)
+
+
+def flat(peak):
+    """f = peak, as a callable: the trapezoid kernel sums it."""
+    return lambda w: np.full_like(w, peak)
+
+
+class TestPeakRange:
+    """The solver handles peaks of f in [1e-101, 1e101] on both kernels."""
+
+    @pytest.mark.parametrize("peak", [1e-101, 1e101])
+    @pytest.mark.parametrize("y", [0.001, 1.0, 1000.0])
+    def test_peaks_at_the_ends_of_the_range_solve(self, peak, y):
+        sol = solve_lsd(flat(peak), y, config=SolverConfig(quadrature_points=64), grid_points=64)
+        assert sol.support[1] > 0.0 and np.all(np.isfinite(sol.density))
+
+    @pytest.mark.parametrize(
+        "f, peak",
+        [
+            (SpectralDensity([1e-55]), "1e-110"),  # the exact kernel
+            (SpectralDensity([1.0, 1e52]), "1e+104"),
+            (flat(1e-102), "1e-102"),  # the trapezoid kernel
+            (flat(1e102), "1e+102"),
+        ],
+    )
+    def test_peak_outside_the_range_raises_naming_it(self, f, peak):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^spectral density peak {re.escape(peak)} lies outside"):
+                solve_lsd(f, 1.0)
+            with pytest.raises(NumericalError, match="peak"):
+                solve_stieltjes(f, 1.0, 1j)
+
+    def test_subnormal_peak_raises_without_overflow(self):
+        f = SpectralDensity([1e-160, 1e-161, 1e-162, 1e-163, 1e-164])  # order 4: trapezoid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="peak"):
+                solve_lsd(f, 1.0)
 
 
 class TestDensity:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,48 @@ class TestSerialization:
         ]
         for m in models:
             assert CoefficientModel.from_json(m.to_json()) == m
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([0.5], "model must be a JSON object"),
+            ({"theta": [0.5]}, "model: missing key 'kind'"),
+            ({"kind": "garch"}, "model: unknown kind 'garch'"),
+            ({"kind": ["ma"]}, "model: unknown kind ['ma']"),
+            ({"kind": "explicit", "coefficients": []}, "explicit model needs a non-empty coefficient list"),
+        ],
+    )
+    def test_malformed_model_named(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoefficientModel.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc, model",
+        [
+            ({"kind": "arma", "phi": [0.5]}, CoefficientModel.arma([0.5], [])),
+            ({"kind": "arma", "theta": [0.5]}, CoefficientModel.arma([], [0.5])),
+        ],
+    )
+    def test_arma_keys_default_to_empty(self, doc, model):
+        parsed = CoefficientModel.from_json(doc)
+        assert parsed == model
+        assert parsed.to_json() == {"kind": "arma", "phi": list(model.phi), "theta": list(model.theta)}
+
+    def test_every_kind_serializes_its_own_keys(self):
+        docs = [
+            {"kind": "white_noise"},
+            {"kind": "explicit", "coefficients": [1.0, -0.5]},
+            {"kind": "ma", "theta": [0.5]},
+            {"kind": "ar1", "phi": 0.5},
+            {"kind": "arma", "phi": [0.2], "theta": [0.4]},
+            {"kind": "farima", "d": -0.2},
+        ]
+        for doc in docs:
+            assert CoefficientModel.from_json(doc).to_json() == doc
+
+    def test_unknown_kind_rejected_by_the_constructor(self):
+        with pytest.raises(ValueError, match="^unknown coefficient model kind 'garch'$"):
+            CoefficientModel("garch")
 
 
 def causal_ar(partials):

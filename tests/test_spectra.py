@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lpspec.lsd import DEFAULT_VARIANT, LsdSolution, lsd_cdf
 from lpspec.spectra import (
+    EigensolverError,
     EmpiricalCdf,
     EmpiricalSpectrum,
     empirical_stieltjes,
@@ -32,6 +33,13 @@ class TestSymEigenvalues:
         np.testing.assert_allclose(
             sym_eigenvalues(np.diag(d)).eigenvalues, sorted(d), atol=0
         )
+
+    def test_eigenvalues_off_the_trace_raise(self, monkeypatch):
+        # a factorization whose eigenvalues do not sum to the trace failed
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + 1e-3)
+        with pytest.raises(EigensolverError, match="violates trace"):
+            sym_eigenvalues(np.diag([3.0, -1.0, 2.0]))
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -61,6 +61,8 @@ class TestEnsembleConfig:
             EnsembleConfig(model=WHITE, p=0, n=4, replicates=1, base_seed=0)
         with pytest.raises(ValueError):
             EnsembleConfig(model=WHITE, p=4, n=4, replicates=0, base_seed=0)
+        with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+            EnsembleConfig(model=WHITE, p=4, n=4, replicates=1, base_seed=0, jobs=0)
 
     def test_replicate_specs_differ(self):
         cfg = EnsembleConfig(model=WHITE, p=4, n=8, replicates=3, base_seed=1)
