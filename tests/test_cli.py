@@ -286,6 +286,23 @@ def test_unread_key_exits_2_naming_key_and_command(tmp_path, caplog, command, ke
     assert not out.exists()
 
 
+# the integer keys in the other forms they are accepted in: an integer
+# string or an integral number
+LOOSE = {"p": "8", "n": 16.0, "replicates": "2", "sizes": ["8", 16.0], "seeds": ["1", 2.0, 3],
+         "grid_points": 64.0, "horizon": "16", "seed": "7", "jobs": 2.0}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_full_key_doc_resolves_to_its_values_and_defaults(tmp_path, command):
+    doc = {"command": command, **{k: VALUES[k] for k in READS[command]}}
+    assert parse_config(write_config(tmp_path, doc), {}) == {**doc, "seed": 0, "jobs": 1, "out": "out"}
+    loose = {**doc, **{k: v for k, v in LOOSE.items() if k in doc or k in ("seed", "jobs")}}
+    want = {**doc, "seed": 7, "jobs": 2, "out": "out"}
+    if "seeds" in doc:
+        want["seeds"] = LOOSE["seeds"]  # echoed as given
+    assert parse_config(write_config(tmp_path, loose), {}) == want
+
+
 @pytest.mark.parametrize(
     "command, flags, key",
     [
@@ -467,6 +484,36 @@ SOLVE_DIGESTS = {
         "cdf.csv": "730dafad4c9b3f4ae521159eb22d6a1ba312e13bcda5555db751d41074422d81"}),
 }
 
+# SHA-256 of every file but manifest.json that one run of each ensemble
+# command writes; the runs are seeded, so at a fixed BLAS thread count they
+# pin every byte.  Every Gram side is at most 192, where the eigensolve's
+# bits do not depend on that count either.  FARIMA(-0.2) at tail_tol 1e-6 has
+# a 1183-tap kernel, so its records take the FFT filter path.
+ENSEMBLE_DIGESTS = {
+    "compare-ma": ({"command": "compare", "model": {"kind": "ma", "theta": [0.5]}, "p": 48, "n": 64,
+                    "replicates": 3, "seed": 11, "dump_eigenvalues": True}, {
+        "eigenvalues.csv": "16aea858083bc209388d11d908596989a94b7e2f316493e1ad317f0f18addb0a",
+        "report.json": "e7476b91c127eae3dbe79c529ce145be101fdab1a95ffc6cd9c765cee4742f09"}),
+    "compare-ar1-rademacher": ({"command": "compare", "model": {"kind": "ar1", "phi": 0.9}, "p": 96,
+                                "n": 48, "replicates": 3, "seed": 5,
+                                "innovations": {"dist": "rademacher"}}, {
+        "report.json": "5838d2147c52b93cca1cb96eaa634196c127690abb39a24b81e41f81c02a8b5c"}),
+    "compare-farima": ({"command": "compare", "model": {"kind": "farima", "d": -0.2}, "p": 32,
+                        "n": 64, "replicates": 2, "seed": 3, "tail_tol": 1e-6}, {
+        "report.json": "673f69dceb349edd6843b13649fa20c3585ec96396b738d66ef1112d6d1e7356"}),
+    "calibrate": ({"command": "calibrate", "p": 64, "n": 128, "replicates": 4, "seed": 11}, {
+        "evidence.csv": "50e69a378206a6d1752a0e3d66c7294d84ac113f6a80b07643dafb91331672bc",
+        "verdict.json": "48e11102ab232788ca99d8eb7c1afe924ace42cbe6e2720085d3302fd663b6e9"}),
+    "simulate-arma": ({"command": "simulate", "model": {"kind": "arma", "phi": [0.5], "theta": [0.4]},
+                       "p": 24, "n": 16, "replicates": 3, "seed": 11}, {
+        "eigenvalues.csv": "d225a47f7193d3e1cf3a3e7fb00a07172ab62dad1330b156ae00c7523520d29e",
+        "esd.csv": "6477d7e27799ad423eb04345f61d94bba483180b165676f66f2bb92734b83722"}),
+    "study-ma": ({"command": "study", "model": {"kind": "ma", "theta": [0.5]}, "y": 0.5,
+                  "sizes": [16, 32], "replicates": 3, "seed": 11}, {
+        "study.json": "966f15e340fa3cfbb303f5aba8bd14d5589f8d5ab2abd3783ba4802cdff5b99f",
+        "trend.csv": "b610f0319f063fa26a7cdd3292c191e99f796c15b9f12038c808b4763e38b696"}),
+}
+
 
 class TestOutputText:
     FLOATS = [0.5, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, math.nan, math.inf, -math.inf]
@@ -513,6 +560,19 @@ class TestOutputText:
         assert run(["solve", "--config", config, "--out", str(out),
                     "--variant", "normalized-yinv-direct"]) == 0
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ENSEMBLE_DIGESTS))
+    def test_ensemble_outputs_keep_their_bytes(self, tmp_path, name, jobs):
+        import hashlib
+
+        doc, digests = ENSEMBLE_DIGESTS[name]
+        out = tmp_path / name
+        assert run([doc["command"], "--config", write_config(tmp_path, doc), "--out", str(out),
+                    "--jobs", str(jobs)]) == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.name != "manifest.json"}
         assert got == digests
 
 
