@@ -90,13 +90,14 @@ _DEFAULTS = {
     "dump_eigenvalues": False,
 }
 
-# smallest accepted value of an integer key
-_MINIMUM = {"p": 1, "n": 1, "replicates": 1, "grid_points": 3, "jobs": 1, "seed": 0, "horizon": 0}
-# largest accepted value: the longest horizon `default_horizon` searches, which
-# bounds `n` too, as `n` sets the default horizon
-_MAXIMUM = {"horizon": MAX_HORIZON, "n": MAX_HORIZON}
-# seeds are unsigned 64-bit integers
-_SEED_LIMIT = 2**64
+# integer key -> (least, most) accepted value; a list key bounds each element.
+# `n` sets the default horizon, so it is bounded by the longest horizon
+# `default_horizon` searches, and so is each of `sizes`, the `n` of one
+# ensemble each; seeds are unsigned 64-bit integers
+_INT_RANGES = {"p": (1, math.inf), "n": (1, MAX_HORIZON), "replicates": (1, math.inf),
+               "jobs": (1, math.inf), "grid_points": (3, math.inf), "seed": (0, 2**64 - 1),
+               "horizon": (0, MAX_HORIZON), "sizes": (1, MAX_HORIZON), "seeds": (0, 2**64 - 1)}
+_INT_LISTS = ("sizes", "seeds")
 
 
 class ConfigError(ValueError):
@@ -132,6 +133,9 @@ def _integer(value) -> int:
 
 
 def _int_list(values) -> list[int]:
+    """A JSON list of integers, each read by `_integer`."""
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not a list")
     return [_integer(v) for v in values]
 
 
@@ -201,16 +205,22 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             raise ConfigError(str(exc))
 
     # null means "not given" only for keys without a default
-    for key in ("p", "n", "replicates", "jobs", "grid_points", "seed", "horizon"):
+    for key, (least, most) in _INT_RANGES.items():
         if key in cfg and (cfg[key] is not None or key in _DEFAULTS):
-            cfg[key] = _converted(cfg, key, _integer, "an integer")
-            if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
-                raise ConfigError(f"key {key!r} must be at least {_MINIMUM[key]}")
-            if key in _MAXIMUM and cfg[key] > _MAXIMUM[key]:
-                raise ConfigError(f"key {key!r} must be at most {_MAXIMUM[key]}")
-    extra = 2 if command == "calibrate" and cfg.get("seeds") is None else 0  # seed + 1, seed + 2
-    if cfg["seed"] >= _SEED_LIMIT - extra:
-        raise ConfigError(f"key 'seed' must be below 2**64{' - 2 for calibrate' if extra else ''}")
+            listed = key in _INT_LISTS
+            values = _converted(cfg, key, _int_list if listed else lambda v: [_integer(v)],
+                                "a list of integers" if listed else "an integer")
+            each = " a list of integers, each" if listed else ""
+            if min(values, default=least) < least:
+                raise ConfigError(f"key {key!r} must be{each} at least {least}")
+            if max(values, default=most) > most:
+                raise ConfigError(f"key {key!r} must be{each} at most {most}")
+            if key != "seeds":  # checked, not stored: the manifest echoes the seeds as given
+                cfg[key] = values if listed else values[0]
+    if cfg.get("seeds") == []:
+        raise ConfigError("key 'seeds' must be a non-empty list of integers")
+    if command == "calibrate" and cfg.get("seeds") is None and cfg["seed"] > 2**64 - 3:
+        raise ConfigError("key 'seed' must be at most 2**64 - 3 for calibrate, which runs seed + 2")
     if cfg.get("y") is not None:
         cfg["y"] = _converted(cfg, "y", _number, "a number")
         if not 0.0 < cfg["y"] < math.inf:
@@ -219,13 +229,6 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
         _check_type(cfg["tail_tol"], float, "key 'tail_tol'")
     if not isinstance(cfg.get("dump_eigenvalues", False), bool):
         raise ConfigError("key 'dump_eigenvalues' must be a boolean")
-    if cfg.get("sizes") is not None:
-        cfg["sizes"] = _converted(cfg, "sizes", _int_list, "a list of integers")
-    if cfg.get("seeds") is not None:
-        # checked, not stored: the manifest echoes the seeds as given
-        seeds = _converted(cfg, "seeds", _int_list, "a non-empty list of integers")
-        if not seeds or not all(0 <= seed < _SEED_LIMIT for seed in seeds):
-            raise ConfigError("key 'seeds' must be a non-empty list of integers in [0, 2**64)")
     missing = [key for key in required if cfg.get(key) is None]
     if missing:
         raise ConfigError(f"missing required key {missing[0]!r} for command {command!r}")

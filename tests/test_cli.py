@@ -186,6 +186,15 @@ WHITE = {"kind": "white_noise"}
         # an n past the longest default horizon, which it would set
         ({"command": "solve", "model": WHITE, "y": 1.0, "n": 2**22 + 1}, "'n'"),
         ({"command": "compare", "model": WHITE, "p": 1, "n": 2**22 + 1}, "'n'"),
+        # a list key is a JSON list, each element bounded as its scalar key:
+        # a size is the n of one ensemble
+        ({"command": "study", "model": WHITE, "y": 1e-6, "sizes": [2**22 + 1]}, "'sizes'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": [0]}, "'sizes'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": [-3]}, "'sizes'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": "48"}, "'sizes'"),
+        ({"command": "study", "model": WHITE, "y": 1.0, "sizes": {"8": 1, "16": 2}}, "'sizes'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": "123"}, "'seeds'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": {"5": 1}}, "'seeds'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
