@@ -7,7 +7,8 @@ manifest.json every run writes echoes only settings that took effect, plus
 tool versions; the manifest's "timestamp" field is the only output that may
 differ between identical runs.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error (an unreadable config or unwritable
+outputs among them), 3 numerical failure.  A failed run leaves none of its outputs.
 """
 
 from __future__ import annotations
@@ -465,7 +466,7 @@ def run(argv=None) -> int:
             path.write_text(text)
             written.append(path)
         return 0
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: a config or output path
         _cleanup(written)
         log.error("validation error: %s", exc)
         return 2

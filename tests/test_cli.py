@@ -226,6 +226,31 @@ def test_malformed_config_file_exits_2(tmp_path, caplog, text, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("case", ["out-is-a-file", "output-is-a-directory", "config-is-a-directory"])
+def test_unusable_path_exits_2_naming_it_and_leaves_no_outputs(tmp_path, caplog, case):
+    config = write_config(tmp_path, {"command": "solve", "model": WHITE, "y": 2.0, "grid_points": 64})
+    out = tmp_path / "run"
+    if case == "out-is-a-file":
+        out.write_text("kept")
+        bad = out
+    elif case == "output-is-a-directory":  # written last but manifest.json
+        bad = out / "lsd.json"
+        bad.mkdir(parents=True)
+    else:
+        bad = config = tmp_path / "configs"
+        bad.mkdir()
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run(["solve", "--config", str(config), "--out", str(out)]) == 2
+    [record] = caplog.records
+    assert record.getMessage().startswith("validation error: ") and str(bad) in record.getMessage()
+    if case == "out-is-a-file":
+        assert out.read_text() == "kept"
+    elif case == "output-is-a-directory":  # cdf.csv and density.csv were written before it
+        assert [path.name for path in out.iterdir()] == ["lsd.json"]
+    else:
+        assert not out.exists()
+
+
 def test_horizon_bound_is_the_longest_default_horizon(tmp_path):
     # n sets the default horizon, so it has the same bound
     import inspect
