@@ -484,6 +484,18 @@ class TestConvergenceStudy:
         assert len(res.rows) == 1
         assert res.spearman_rho == 0.0
 
+    def test_takes_only_the_per_replicate_ks(self, monkeypatch):
+        # trend.csv and study.json hold only the per-replicate KS statistics
+        import lpspec.verify as verify_mod
+
+        calls = []
+        for name in ("ks_distance", "wasserstein1"):
+            distance = getattr(verify_mod, name)
+            monkeypatch.setattr(verify_mod, name, lambda cdf, law, name=name, distance=distance:
+                                calls.append(name) or distance(cdf, law))
+        convergence_study(WHITE, 1.0, [16, 32], replicates=3, base_seed=0)
+        assert calls == ["ks_distance"] * 6
+
     def test_sizes_must_not_be_empty(self):
         with pytest.raises(ValueError, match="sizes"):
             convergence_study(WHITE, 1.0, [], replicates=1, base_seed=0)
@@ -518,9 +530,12 @@ class TestConvergenceStudy:
 
         sizes = [16 * (k + 1) for k in range(len(medians))]
         by_n = dict(zip(sizes, medians))
-        monkeypatch.setattr(verify_mod, "_candidate_cdfs", lambda config, y: None)
+        # each replicate's KS is the one value its ensemble reports
+        monkeypatch.setattr(verify_mod, "_candidate_cdfs", lambda config, y: {config.variants[0].label: None})
         monkeypatch.setattr(verify_mod, "run_ensemble", lambda config, candidates: SimpleNamespace(
-            per_replicate_ks=[{config.variants[0].label: by_n[config.n]}]))
+            eigenvalues=[by_n[config.n]]))
+        monkeypatch.setattr(verify_mod, "EmpiricalCdf", lambda evs: evs)
+        monkeypatch.setattr(verify_mod, "ks_distance", lambda cdf, law: cdf)
         res = convergence_study(WHITE, 1.0, sizes, replicates=1, base_seed=0)
         assert [r["ks_median"] for r in res.rows] == medians
         assert res.spearman_rho == stats.spearmanr(sizes, medians).statistic
