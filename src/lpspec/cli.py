@@ -4,8 +4,9 @@ Commands: simulate | solve | compare | calibrate | study.  Experiments are
 described by a JSON config file and/or flags (flags win, with a logged
 notice).  Each command accepts only the keys it reads (`_KEYS`), so the
 manifest.json every run writes echoes only settings that took effect, plus
-tool versions; the manifest's "timestamp" field is the only output that may
-differ between identical runs.
+tool versions and numpy's BLAS with its live thread count (at a Gram side of
+256 or more the eigenvalue bits depend on it); the manifest's "timestamp"
+field is the only output that may differ between identical runs.
 
 Exit codes: 0 success, 2 validation error (an unreadable config or unwritable
 outputs among them), 3 numerical failure.  A failed run leaves none of its outputs.
@@ -14,6 +15,7 @@ outputs among them), 3 numerical failure.  A failed run leaves none of its outpu
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import functools
 import json
@@ -440,8 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blas() -> dict:
+    """numpy's BLAS vendor and version, and the live thread count of its
+    bundled OpenBLAS (None where that library or its getter is missing)."""
+    build = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    threads = None
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            threads = getter()
+    return {"vendor": build.get("name"), "version": build.get("version"), "threads": threads}
+
+
 def run(argv=None) -> int:
     """Entry point returning the process exit status."""
+    blas = _blas()
     args = build_parser().parse_args(argv)
     flags = {key: value for key, value in vars(args).items() if key != "config"}
     written: list[Path] = []
@@ -449,6 +464,7 @@ def run(argv=None) -> int:
         cfg = parse_config(args.config, flags)
         artifacts = _DISPATCH[cfg["command"]](cfg)
         manifest = {
+            "blas": blas,
             "command": cfg["command"],
             "config": {k: v for k, v in sorted(cfg.items()) if k != "out"},
             "versions": {

@@ -1130,6 +1130,22 @@ def test_every_command_runs_without_scipy(tmp_path):
         assert set(manifest["versions"]) == {"lpspec", "numpy", "python"}
 
 
+def test_manifest_records_blas_build_and_live_threads(tmp_path):
+    # eigenvalue bits depend on the BLAS thread count at a Gram side of 256 or
+    # more, so the manifest records it as the run found it
+    config = write_config(tmp_path, {"command": "solve", "model": WHITE, "y": 2.0, "grid_points": 64})
+    argv = ["solve", "--config", config, "--out", str(tmp_path / "run")]
+    code = f"from lpspec.cli import run; raise SystemExit(run({argv!r}))"
+    src = str(Path(lpspec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
+    blas = json.loads((tmp_path / "run" / "manifest.json").read_text())["blas"]
+    build = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert (blas["vendor"], blas["version"]) == (build["name"], build["version"])
+    assert blas["threads"] == (1 if build["name"] == "scipy-openblas" else None)
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # the modules the package imports at any scope, less the standard
     # library and itself, are exactly the declared run-time dependencies
