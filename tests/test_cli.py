@@ -520,8 +520,8 @@ SOLVE_DIGESTS = {
 
 # SHA-256 of every file but manifest.json that one run of each ensemble
 # command writes; the runs are seeded, so at a fixed BLAS thread count they
-# pin every byte.  Every Gram side is at most 192, where the eigensolve's
-# bits do not depend on that count either.  FARIMA(-0.2) at tail_tol 1e-6 has
+# pin every byte.  Every Gram side is at most 64, below the 192 up to which
+# the eigensolve's bits do not depend on that count either.  FARIMA(-0.2) at tail_tol 1e-6 has
 # a 1183-tap kernel, so its records take the FFT filter path.
 ENSEMBLE_DIGESTS = {
     "compare-ma": ({"command": "compare", "model": {"kind": "ma", "theta": [0.5]}, "p": 48, "n": 64,
