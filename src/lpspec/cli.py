@@ -94,11 +94,12 @@ _DEFAULTS = {
 }
 
 # integer key -> (least, most) accepted value; a list key bounds each element.
-# `n` sets the default horizon, so it is bounded by the longest horizon
-# `default_horizon` searches, and so is each of `sizes`, the `n` of one
-# ensemble each; seeds are unsigned 64-bit integers
+# `n` sets the default horizon, so it and each of `sizes` (the `n` of one
+# ensemble) are bounded by the longest horizon `default_horizon` searches;
+# each job is one OS thread; `grid_points` sizes every array of a law solve,
+# so it stops at 16 times the Marchenko-Pastur oracle's 4096 nodes; seeds are u64
 _INT_RANGES = {"p": (1, math.inf), "n": (1, MAX_HORIZON), "replicates": (1, math.inf),
-               "jobs": (1, math.inf), "grid_points": (3, math.inf), "seed": (0, 2**64 - 1),
+               "jobs": (1, 256), "grid_points": (3, 2**16), "seed": (0, 2**64 - 1),
                "horizon": (0, MAX_HORIZON), "sizes": (1, MAX_HORIZON), "seeds": (0, 2**64 - 1)}
 _INT_LISTS = ("sizes", "seeds")
 

@@ -82,6 +82,14 @@ class TestParseConfig:
                 doc["model"] = {"kind": "white_noise"}
             assert parse_config(write_config(tmp_path, doc), {})["seed"] == seed
 
+    @pytest.mark.parametrize("command", ["compare", "solve"])
+    def test_largest_jobs_and_grid_points_accepted(self, tmp_path, command):
+        # parsed only; one past either bound exits 2 (test_malformed_value_exits_2_naming_key)
+        doc = {"command": command, "model": {"kind": "white_noise"}, "jobs": 256,
+               "grid_points": 2**16, **({"p": 8, "n": 8} if command == "compare" else {"y": 1.0})}
+        cfg = parse_config(write_config(tmp_path, doc), {})
+        assert (cfg["jobs"], cfg["grid_points"]) == (256, 2**16)
+
 
 WHITE = {"kind": "white_noise"}
 
@@ -195,6 +203,14 @@ WHITE = {"kind": "white_noise"}
         ({"command": "study", "model": WHITE, "y": 1.0, "sizes": {"8": 1, "16": 2}}, "'sizes'"),
         ({"command": "calibrate", "p": 8, "n": 16, "seeds": "123"}, "'seeds'"),
         ({"command": "calibrate", "p": 8, "n": 16, "seeds": {"5": 1}}, "'seeds'"),
+        ({"command": "calibrate", "p": 8, "n": 16, "seeds": []}, "'seeds'"),
+        # each job is one OS thread, and grid_points sizes every array of a law
+        # solve: one past each bound is rejected before any thread or array exists
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "jobs": 257}, "'jobs'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "jobs": 257}, "'jobs'"),
+        ({"command": "compare", "model": WHITE, "p": 8, "n": 8, "grid_points": 2**16 + 1},
+         "'grid_points'"),
+        ({"command": "solve", "model": WHITE, "y": 1.0, "grid_points": 2**16 + 1}, "'grid_points'"),
     ],
 )
 def test_malformed_value_exits_2_naming_key(tmp_path, caplog, doc, key):
@@ -448,6 +464,16 @@ class TestSolveCommand:
         assert code == 3
         message = " ".join(rec.getMessage() for rec in caplog.records)
         assert re.search(r"density: solve failed at x = \d.*residual \d\.\d+e[+-]\d+", message)
+
+    def test_grid_too_coarse_for_the_support_intervals_exits_2(self, tmp_path, caplog):
+        # the trapezoid kernel splits FARIMA(-0.2)'s law at y = 2 into 4 intervals
+        cfg = write_config(tmp_path, {"command": "solve", "model": {"kind": "farima", "d": -0.2},
+                                      "y": 2.0, "tail_tol": 1e-6, "grid_points": 5})
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            assert run(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert any("grid_points = 5 cannot resolve 4 support intervals" in rec.getMessage()
+                   for rec in caplog.records)
+        assert not (tmp_path / "run").exists()
 
     def test_law_outside_unit_interval_exit_code(self, tmp_path, caplog):
         # raw-y-companion of AR(1) phi = 0.9 at y = 0.5 reads an atom of -1
@@ -739,6 +765,21 @@ class TestCompareCommand:
         d1["config"].pop("jobs")
         d4["config"].pop("jobs")
         assert d1 == d4
+
+    def test_byte_identical_across_jobs_at_gram_side_256(self, tmp_path):
+        # from a Gram side of 256 the eigenvalue bits depend on the BLAS thread
+        # count, so the two runs are compared with each other, not with a digest
+        cfg = write_config(
+            tmp_path,
+            {"command": "compare", "model": {"kind": "ma", "theta": [0.5]},
+             "p": 512, "n": 256, "replicates": 3, "seed": 7},
+        )
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert run(["compare", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_horizon_below_model_order_exit_code(self, tmp_path, caplog):
         # a horizon of 0 would simulate white noise against the MA(0.5) law

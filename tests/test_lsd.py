@@ -883,3 +883,28 @@ def test_trapezoid_kernel_of_an_even_density_is_the_full_trapezoid(points):
     for s in (0.3 + 0.7j, -0.2 + 0.05j):
         got, _ = kernel_at(f, s, config)
         assert abs(got - quadrature_integral(f, s, config=config)) <= 1e-13 * abs(got)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: EquationVariant(ratio="x"), ValueError, "unknown ratio interpretation 'x'"),
+        # a scalar-valued callable is broadcast over the frequency grid first
+        (lambda: quadrature_integral(lambda w: -1.0, 0.5j), ValueError,
+         "spectral density must be non-negative"),
+        (lambda: quadrature_integral(lambda w: np.ones_like(w), -1.0), NumericalError,
+         "integrand singular at s = (-1+0j)"),
+        (lambda: solve_lsd(SpectralDensity([0.0]), 1.0), ValueError,
+         "spectral density must not vanish identically"),
+        (lambda: marchenko_pastur(1.0).stieltjes(1.0), ValueError, "stieltjes requires Im z > 0"),
+    ],
+    ids=["ratio", "scalar-density", "singular-integrand", "vanishing-density", "real-z"],
+)
+def test_input_checks_raise_with_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_scalar_valued_density_is_broadcast():
+    s = 0.3 + 0.7j
+    assert quadrature_integral(lambda w: 2.0, s) == quadrature_integral(lambda w: np.full_like(w, 2.0), s)

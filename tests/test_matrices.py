@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -300,3 +302,22 @@ class TestShiftRepresentation:
 def test_subdiagonal_shift_shape():
     k = subdiagonal_shift(3)
     np.testing.assert_array_equal(k, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MatrixShape(0, 4), "shape requires p >= 1 and n >= 1"),
+        (lambda: clipped_circulant([1.0], 0), "n must be >= 1"),
+        (lambda: circulant([1.0], 0), "m must be >= 1"),
+        (lambda: autocovariance_matrix([1.0], 0), "m must be >= 1"),
+        (lambda: gram(np.ones(3)), "gram expects a 2-d matrix"),
+        (lambda: ShiftPolynomialPair(0, (1.0,)), "order must be >= 1"),
+        (lambda: ShiftPolynomialPair(2, (1.0, 0.5)), "need coefficients up to the order (zero-pad)"),
+    ],
+    ids=["shape", "clipped-circulant", "circulant", "autocovariance", "gram", "order",
+         "coefficients"],
+)
+def test_input_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

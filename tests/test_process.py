@@ -452,3 +452,26 @@ class TestScipyReferences:
         # the horizons of the lfilter coefficients and block sums (n = 1 shows J)
         assert default_horizon(model, 1) == horizon
         assert default_horizon(model, 256) == max(256, horizon)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: coefficients(CoefficientModel.white_noise(), 0), "count must be >= 1"),
+        (lambda: InnovationSpec(seed=2**64), "seed must fit in an unsigned 64-bit integer"),
+        (lambda: InnovationSpec(seed=-1), "seed must fit in an unsigned 64-bit integer"),
+        (lambda: ProcessSpec(CoefficientModel.white_noise(), InnovationSpec(), -1),
+         "horizon must be non-negative"),
+        (lambda: ProcessSpec(CoefficientModel.white_noise(), InnovationSpec(), 4, tail_tol=0.0),
+         "tail_tol must lie in (0, 1)"),
+        (lambda: ProcessSpec(CoefficientModel.white_noise(), InnovationSpec(), 4, tail_tol=1.0),
+         "tail_tol must lie in (0, 1)"),
+        (lambda: SpectralDensity([]), "polynomials must be non-empty"),
+        (lambda: SpectralDensity([1.0], []), "polynomials must be non-empty"),
+    ],
+    ids=["count", "seed-2**64", "seed--1", "horizon", "tail_tol-0", "tail_tol-1", "ma-empty",
+         "ar-empty"],
+)
+def test_input_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

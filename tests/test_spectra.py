@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpspec.lsd import DEFAULT_VARIANT, LsdSolution, lsd_cdf
+from lpspec.matrices import gram
 from lpspec.spectra import (
     EigensolverError,
     EmpiricalCdf,
@@ -67,6 +69,26 @@ class TestSymEigenvalues:
         m = np.array([[1.0, np.nan], [0.5, 2.0]])
         assert sym_eigenvalues(m).eigenvalues.tobytes() == \
             np.linalg.eigvalsh([[1.0, 0.5], [0.5, 2.0]]).tobytes()
+
+    @pytest.mark.parametrize("p", [256, 1024])
+    def test_exact_gram_gives_the_eigvalsh_bits(self, p):
+        # the blockwise symmetry measure leaves an exact Gram's eigenvalues as they were
+        g = gram(np.random.default_rng(p).standard_normal((p, 2 * p)))
+        assert sym_eigenvalues(g).eigenvalues.tobytes() == np.linalg.eigvalsh(g).tobytes()
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "within-tolerance"])
+    def test_symmetry_measure_makes_no_p_by_p_temporary(self, perturbed):
+        # at p = 1024 a float temporary is 8 MB and a bool mask 1 MB
+        m = gram(np.random.default_rng(3).standard_normal((1024, 1024)))
+        if perturbed:
+            m[3, 17] += 0.5e-10 * float(np.max(np.abs(m)))
+        tracemalloc.start()
+        try:
+            sym_eigenvalues(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
@@ -297,3 +319,9 @@ def test_spectrum_validation():
         EmpiricalSpectrum(np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         EmpiricalSpectrum(np.array([]))
+
+
+@pytest.mark.parametrize("values", [[], np.empty(0)], ids=["list", "array"])
+def test_input_checks_raise_with_their_message(values):
+    with pytest.raises(ValueError, match="^empty sample$"):
+        EmpiricalCdf(values)
