@@ -104,6 +104,11 @@ _EXACT_ORDER = 3
 # the peaks of f the solver handles: bisected at y in {0.1, 1, 10} on both
 # kernels, it solves peaks from about 5e-109 to 1.3e102
 _PEAK_RANGE = 1e-101, 1e101
+# the aspect ratios it handles: swept in quarter decades over seven laws on
+# both kernels and the four equations, it solves or raises one error without
+# a floating-point warning from y = 1e-17 to 1e17, and overflows from about
+# 1e-30 and 1e20 on
+_RATIO_RANGE = 1e-16, 1e16
 # frequencies on [0, pi] that sample a rational f for its median
 _MEDIAN_SAMPLES = 512
 # an interval reaching below the median m of f is graded in decades
@@ -482,6 +487,18 @@ def _kernel(f, config: SolverConfig):
     return kernel
 
 
+def _scale(variant: EquationVariant, y: float) -> float:
+    """The variant's coefficient at ratio y.  Raises ValueError for a y that
+    is no ratio, and NumericalError for one outside _RATIO_RANGE."""
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
+    low, high = _RATIO_RANGE
+    if not low <= y <= high:
+        raise NumericalError(f"aspect ratio y = {y!r} lies outside [{low:g}, {high:g}], "
+                             "the range the solver handles")
+    return variant.scale(y)
+
+
 def _blocks(s: np.ndarray, columns: int) -> list[np.ndarray]:
     """The rows s of a matrix with `columns` columns in the blocks of at most
     about _SCAN_ENTRIES entries that np.array_split makes, without its cost
@@ -578,7 +595,7 @@ def _follow(kernel, scale: float, z_from: complex, s: complex, deriv, z_to: comp
             s, deriv, z_from = complex(root[0]), complex(slope[0]), targets.pop()
             if not targets:
                 return s, deriv
-        elif len(targets) > _HALVINGS:
+        elif len(targets) > _HALVINGS or 0.5 * (z + z_from) in (z, z_from):  # no split left
             break
         else:
             targets.append(0.5 * (z + z_from))
@@ -598,10 +615,8 @@ def solve_stieltjes(f, y: float, z: complex, variant: EquationVariant = DEFAULT_
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("solve_stieltjes requires Im z > 0")
-    if not 0.0 < y < math.inf:
-        raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
+    scale = _scale(variant, y)
     kernel = _kernel(f, config)
-    scale = variant.scale(y)
     start = s0 if s0 is not None and s0.imag > 0 else -1.0 / z
     top = complex(z.real, max(z.imag, 4.0 * (abs(z) + (1.0 + scale) * kernel.high)))
     roots, slopes, sizes, converged = _newton(kernel, scale, np.array([z, top]),
@@ -680,11 +695,17 @@ def _support(kernel, scale: float) -> list[_Interval]:
         raise ConvergenceError(f"edge search: support edges out of order at x = {x!r} "
                                f"(residual {residual:.3e})", z=complex(x), residual=residual)
     # z'' at each upper edge, by a central difference of z'(s) = 1/s^2 - scale K2(s)
+    # whose step stays off the kernel's pole at s = -1/max f
     s_b = -1.0 / v_close
-    h = 1e-5 * np.abs(s_b)
+    h = np.minimum(1e-5 * np.abs(s_b), 0.1 * np.abs(s_b + 1.0 / kernel.high))
     ends = np.concatenate([s_b - h, s_b + h])
     slopes = (1.0 / ends**2 - scale * kernel(ends)[1].real).reshape(2, -1)
     curvature = (slopes[1] - slopes[0]) / (2.0 * h)
+    bad = np.flatnonzero(~(np.isfinite(curvature) & (curvature > 0.0)))
+    if bad.size:
+        x = float(closes[bad[0]])
+        raise ConvergenceError(f"edge search: z'' at the upper edge x = {x!r} reads "
+                               f"{curvature[bad[0]]:.3e}, not finite and positive", z=complex(x))
     weights = np.diff(kernel.weight_below(v_close), prepend=0.0)
     rows = zip(opens, closes, s_b, curvature, weights)
     return [_Interval(*map(float, row)) for row in rows]
@@ -834,10 +855,8 @@ def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,
     support is the hull of the support intervals.  The direct law is solved
     and the variant's role read off it (`LsdSolution.in_role`).
     """
-    if not 0.0 < y < math.inf:
-        raise ValueError(f"aspect ratio y must be finite and positive, got {y!r}")
+    scale = _scale(variant, y)
     kernel = _kernel(f, config)
-    scale = variant.scale(y)
     intervals = _support(kernel, scale)
     atom = float(max(0.0, 1.0 - scale * kernel.share))
     parts = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .lsd import (
     DEFAULT_CONFIG,
     DEFAULT_VARIANT,
     EquationVariant,
+    NumericalError,
     SolverConfig,
     all_variants,
     law_range_violation,
@@ -121,6 +122,7 @@ class EnsembleConfig:
     tail_tol: float = 1e-12
     jobs: int = 1
     grid_points: int = 1024  # of each solved law; like `solver`, not in `to_json`
+    _horizon: int = field(init=False, repr=False)  # `horizon`, or the model's default, found once
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
@@ -135,6 +137,8 @@ class EnsembleConfig:
                 f"p*n*replicates = {cells} exceeds the memory budget of "
                 f"{_MAX_CELLS} cells"
             )
+        object.__setattr__(self, "_horizon", self.horizon if self.horizon is not None
+                           else default_horizon(self.model, self.n, self.tail_tol))
 
     @property
     def shape(self) -> MatrixShape:
@@ -145,9 +149,7 @@ class EnsembleConfig:
         return self.p / self.n
 
     def resolved_horizon(self) -> int:
-        if self.horizon is not None:
-            return self.horizon
-        return default_horizon(self.model, self.n, self.tail_tol)
+        return self._horizon
 
     def replicate_spec(self, replicate: int) -> ProcessSpec:
         return ProcessSpec(
@@ -218,6 +220,16 @@ def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     return {label: lsd_cdf(law) for label, law in _candidate_laws(config, y).items()}
 
 
+def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
+    """`_candidate_cdfs` of the laws an ensemble scores.  A law outside [0, 1],
+    which no spectrum can approach, raises NumericalError, as `solve` refuses
+    it; calibration records such laws in its evidence instead."""
+    laws = _candidate_laws(config, y)
+    for violation in filter(None, map(law_range_violation, laws.values())):
+        raise NumericalError(violation)
+    return {label: lsd_cdf(law) for label, law in laws.items()}
+
+
 def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None) -> list:
     """(eigenvalues, trace statistic) of one replicate of the config's model,
     or, given `kernels`, of each kernel's record from one draw of the
@@ -255,7 +267,7 @@ def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None) -> list
             del g
         if p > n:
             evs = np.concatenate([np.zeros(p - n), evs * (n / p)])
-        out.append((np.clip(evs, 0.0, None), trace_stat))
+        out.append((evs, trace_stat))
     return out
 
 
@@ -289,11 +301,12 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
     """Simulate, decompose and compare each replicate against candidate laws.
 
     `candidates` maps labels to CDF-evaluable objects; by default the
-    config's variants are solved from the process spectral density.  An
-    eigensolver failure aborts only its own replicate and is recorded.
+    config's variants are solved from the process spectral density, and one
+    outside [0, 1] raises NumericalError before any replicate is simulated.
+    An eigensolver failure aborts only its own replicate and is recorded.
     """
     if candidates is None:
-        candidates = _candidate_cdfs(config)
+        candidates = _scored_cdfs(config)
     return _report(config, (result for [result] in _replicates(config)), candidates)
 
 
@@ -470,7 +483,7 @@ def calibrate_equation_variant(
         )
     selected = EquationVariant.parse(selections[0])
 
-    confirm_law = _candidate_cdfs(replace(confirm_config, variants=(selected,)))[selected.label]
+    confirm_law = _scored_cdfs(replace(confirm_config, variants=(selected,)))[selected.label]
     confirm_ks = ks_distance(EmpiricalCdf(np.concatenate(confirm.eigenvalues)), confirm_law)
     confirmation = {
         "model": confirm_config.model.label(),
@@ -543,7 +556,7 @@ def convergence_study(
         )
         for n in sizes
     ]
-    law = _candidate_cdfs(configs[0], y)[variant.label]
+    law = _scored_cdfs(configs[0], y)[variant.label]
     rows = []
     medians = []
     for config in configs:  # only the per-replicate KS is read

@@ -511,6 +511,35 @@ def test_density_peak_outside_the_solver_range_exits_3(tmp_path, caplog, command
     assert not out.exists() or not any(out.iterdir())
 
 
+SWEEP_RATIOS = [5e-324, 1e-300, *(10.0**k for k in range(-16, 17)), 1e300]
+
+
+@pytest.mark.parametrize("model", [{"kind": "white_noise"}, {"kind": "ma", "theta": [0.5]},
+                                   {"kind": "ar1", "phi": 0.9},
+                                   {"kind": "arma", "phi": [0.5], "theta": [0.4]}],
+                         ids=lambda model: model["kind"])
+def test_solve_across_aspect_ratios_warns_never(tmp_path, caplog, model):
+    # each ratio writes a law in [0, 1] or exits 3 with one log line; every
+    # ratio from 1e-8 to 1e8 solves, and one outside [1e-16, 1e16] is refused
+    for i, y in enumerate(SWEEP_RATIOS):
+        out = tmp_path / str(i)
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+                code = run(["solve", "--out", str(out),
+                            "--config", write_config(tmp_path, {"command": "solve", "model": model, "y": y})])
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert code in ((0,) if 1e-8 <= y <= 1e8 else (0, 3)), (y, messages)
+        assert len(messages) == bool(code), (y, messages)
+        if code:
+            assert messages[0].startswith("numerical failure: ")
+            assert not out.exists() or not any(out.iterdir())
+        if not 1e-16 <= y <= 1e16:
+            assert messages == [f"numerical failure: aspect ratio y = {y!r} lies outside [1e-16, 1e+16], "
+                                "the range the solver handles"]
+
+
 # SHA-256 of the files `solve` writes for the four laws of the benchmark's
 # `law` workload, one trapezoid-kernel law and one law whose density peaks at
 # 1e100, near the top of the range the solver handles.  The solve is deterministic,
@@ -895,6 +924,50 @@ def test_study_honours_tail_tol(tmp_path):
     out = tmp_path / "run"
     assert run(["study", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     assert len((out / "trend.csv").read_text().strip().splitlines()) == 3
+
+
+AR09 = {"kind": "ar1", "phi": 0.9}
+
+
+@pytest.mark.parametrize(
+    "doc, searches",
+    [
+        ({"command": "compare", "model": AR09, "p": 64, "n": 128, "replicates": 6}, 1),
+        ({"command": "study", "model": AR09, "y": 0.5, "sizes": [32, 64, 128], "replicates": 6}, 3),
+    ],
+    ids=lambda case: case["command"] if isinstance(case, dict) else str(case),
+)
+def test_one_horizon_search_per_ensemble(tmp_path, monkeypatch, doc, searches):
+    # AR(0.9) has infinite order: each config searches its horizon once, and
+    # its replicates, its law and its report read that one
+    from lpspec import verify
+
+    calls = []
+    search = verify.default_horizon
+    monkeypatch.setattr(verify, "default_horizon", lambda *args: calls.append(args) or search(*args))
+    cfg = write_config(tmp_path, doc)
+    assert run([doc["command"], "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == searches
+
+
+@pytest.mark.parametrize("command", ["compare", "study"])
+def test_ensemble_law_outside_unit_interval_exits_3_before_any_replicate(
+        tmp_path, monkeypatch, caplog, command):
+    # raw-yinv-companion of MA(0.5) at y = 2 reads an atom of -1, as `solve` refuses
+    from lpspec import verify
+
+    monkeypatch.setattr(verify, "_one_replicate", lambda *args: pytest.fail("simulated a replicate"))
+    doc = {"command": command, "model": {"kind": "ma", "theta": [0.5]},
+           "variant": "raw-yinv-companion", "replicates": 2,
+           **({"p": 64, "n": 32} if command == "compare" else {"y": 2.0, "sizes": [16, 32]})}
+    out = tmp_path / "run"
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert len(messages) == 1
+    assert messages[0].startswith("numerical failure: invariant atom in [0, 1] and CDF in [0, 1] "
+                                  "fails for variant raw-yinv-companion at y = 2.0: atom -1.0")
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestCalibrateCommand:

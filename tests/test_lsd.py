@@ -184,6 +184,46 @@ class TestPeakRange:
                 solve_lsd(f, 1.0)
 
 
+MA05, AR09 = SpectralDensity([1.0, 0.5]), SpectralDensity([1.0], [1.0, -0.9])
+
+
+class TestRatioRange:
+    """The solver handles aspect ratios y in [1e-16, 1e16]; each end of it and
+    the ratios whose upper edge lies next to the kernel's pole solve without a
+    warning, and a ratio outside raises one NumericalError naming it."""
+
+    @pytest.mark.parametrize("f, y", [(AR09, 1e-16), (AR09, 1e16), (MA05, 1e8), (MA05, 1e16),
+                                      (AR09, 1e6), (AR09, 1e10)])
+    def test_ratios_up_to_the_ends_of_the_range_solve(self, f, y):
+        # at y = 1e8 MA(0.5) has its upper edge root 1.3e-6 off the pole at
+        # -1/max f, inside the old curvature step of 4.4e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_lsd(f, y)
+        assert law_range_violation(sol) is None and np.all(np.isfinite(sol.density))
+
+    def test_upper_edge_curvature_that_is_not_positive_raises(self):
+        # far from any pole, the difference reads about -1.2e19 at y = 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=r"^edge search: z'' at the upper edge x = \S+ "
+                                                       r"reads -\S+, not finite and positive$"):
+                solve_lsd(MA05, 1e-12)
+
+    @pytest.mark.parametrize("y, text", [(9.9e-17, "9.9e-17"), (1.1e16, "1.1e+16"), (1e-300, "1e-300"),
+                                         (1e300, "1e+300"), (5e-324, "5e-324")])
+    def test_ratio_outside_the_range_raises_naming_it(self, y, text):
+        message = (f"^aspect ratio y = {re.escape(text)} lies outside "
+                   + re.escape("[1e-16, 1e+16], the range the solver handles") + "$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for variant in (DEFAULT_VARIANT, EquationVariant("raw", "y", "companion")):
+                with pytest.raises(NumericalError, match=message):
+                    solve_lsd(MA05, y, variant=variant)
+            with pytest.raises(NumericalError, match=message):
+                solve_stieltjes(MA05, y, 1j)
+
+
 class TestDensity:
     def test_mp1_bulk_value(self):
         # every node the march solves, the one next to the hard edge at y = 1

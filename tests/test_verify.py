@@ -9,7 +9,14 @@ import pytest
 
 from lpspec.lsd import EquationVariant, SolverConfig, all_variants, marchenko_pastur
 from lpspec.matrices import gram, segment_matrix
-from lpspec.process import _BLOCK, CoefficientModel, InnovationSpec, ProcessSpec, simulate_record
+from lpspec.process import (
+    _BLOCK,
+    CoefficientModel,
+    InnovationSpec,
+    ProcessSpec,
+    default_horizon,
+    simulate_record,
+)
 from lpspec.spectra import EigensolverError, EmpiricalSpectrum, ks_distance, sym_eigenvalues
 from lpspec.verify import (
     CalibrationError,
@@ -68,6 +75,16 @@ class TestEnsembleConfig:
         cfg = EnsembleConfig(model=WHITE, p=4, n=8, replicates=3, base_seed=1)
         seeds = {cfg.replicate_spec(r).innovations.seed for r in range(3)}
         assert len(seeds) == 3
+
+    def test_replace_resolves_the_new_models_horizon(self):
+        # the horizon is found once per config, so a replaced model gets its own
+        config = EnsembleConfig(model=WHITE, p=4, n=8, replicates=1, base_seed=0)
+        near_unit_root = CoefficientModel.ar1(0.999)
+        replaced = replace(config, model=near_unit_root)
+        assert config.resolved_horizon() == 8
+        assert replaced.resolved_horizon() == default_horizon(near_unit_root, 8) > 8
+        assert replaced.replicate_spec(0).horizon == replaced.to_json()["horizon"] == replaced.resolved_horizon()
+        assert replace(config, horizon=12).resolved_horizon() == 12
 
 
 class TestRunEnsemble:
@@ -146,6 +163,20 @@ class TestRunEnsemble:
         assert rep.failed_replicates == (1,)
         assert len(rep.eigenvalues) == 2
         assert [r.getMessage() for r in caplog.records] == ["replicate 1 failed: synthetic failure"]
+
+    def test_eigenvalues_kept_as_the_eigensolver_returns_them(self, monkeypatch):
+        # a rounding-level negative eigenvalue is reported, not clipped to 0
+        eigvalsh = np.linalg.eigvalsh
+
+        def with_negative(m, *args, **kwargs):  # the sum, and so the trace check, holds
+            ev = eigvalsh(m, *args, **kwargs)
+            ev[-1] += ev[0] + 1e-17
+            ev[0] = -1e-17
+            return ev
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", with_negative)
+        report = run_ensemble(EnsembleConfig(model=WHITE, p=8, n=16, replicates=2, base_seed=1), {})
+        assert [evs[0] for evs in report.eigenvalues] == [-1e-17, -1e-17]
 
     def test_pooled_spectrum_is_valid_cdf(self):
         cfg = EnsembleConfig(model=WHITE, p=16, n=16, replicates=3, base_seed=9)
