@@ -97,10 +97,13 @@ _DEFAULTS = {
 # `n` sets the default horizon, so it and each of `sizes` (the `n` of one
 # ensemble) are bounded by the longest horizon `default_horizon` searches;
 # each job is one OS thread; `grid_points` sizes every array of a law solve,
-# so it stops at 16 times the Marchenko-Pastur oracle's 4096 nodes; seeds are u64
+# so it stops at 16 times the Marchenko-Pastur oracle's 4096 nodes, and
+# `quadrature_points`, the key of `solver`, sizes every array of the trapezoid
+# kernel, so it stops at 32 times its default 2048; seeds are u64
 _INT_RANGES = {"p": (1, math.inf), "n": (1, MAX_HORIZON), "replicates": (1, math.inf),
                "jobs": (1, 256), "grid_points": (3, 2**16), "seed": (0, 2**64 - 1),
-               "horizon": (0, MAX_HORIZON), "sizes": (1, MAX_HORIZON), "seeds": (0, 2**64 - 1)}
+               "horizon": (0, MAX_HORIZON), "sizes": (1, MAX_HORIZON), "seeds": (0, 2**64 - 1),
+               "quadrature_points": (2, 2**16)}
 _INT_LISTS = ("sizes", "seeds")
 
 
@@ -192,6 +195,8 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> dict:
             raise ConfigError(f"{name}: unknown key {sorted(unknown)[0]!r}")
         for key, value in cfg[name].items():
             _check_type(value, types[key], f"{name}: key {key!r}")
+            if key in _INT_RANGES and not _INT_RANGES[key][0] <= value <= _INT_RANGES[key][1]:
+                raise ConfigError(f"{name}: key {key!r} must be in {list(_INT_RANGES[key])}")
     if "model" in cfg:
         cfg["model"] = CoefficientModel.from_json(cfg["model"]).to_json()
     if "innovations" in cfg:  # no stream seed: every stream derives from `seed`

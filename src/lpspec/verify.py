@@ -215,13 +215,8 @@ def _candidate_laws(config: EnsembleConfig, y: float | None = None) -> dict:
     return {v.label: laws[replace(v, role="direct")].in_role(v.role) for v in config.variants}
 
 
-def _candidate_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
-    """CDFs of `_candidate_laws`."""
-    return {label: lsd_cdf(law) for label, law in _candidate_laws(config, y).items()}
-
-
 def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
-    """`_candidate_cdfs` of the laws an ensemble scores.  A law outside [0, 1],
+    """CDFs of the `_candidate_laws` an ensemble scores.  A law outside [0, 1],
     which no spectrum can approach, raises NumericalError, as `solve` refuses
     it; calibration records such laws in its evidence instead."""
     laws = _candidate_laws(config, y)
@@ -536,8 +531,8 @@ def convergence_study(
     The law depends only on (f, y), so it is solved once at the nominal y
     and reused across sizes, whose p/n only approximates y.  Returns per-size
     medians and interquartile ranges plus the Spearman rank correlation of
-    median KS against n (negative under convergence).  `settings` are passed
-    on to every `EnsembleConfig`.
+    median KS against n (negative under convergence; 0 where the medians do
+    not vary).  `settings` are passed on to every `EnsembleConfig`.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
@@ -572,9 +567,8 @@ def convergence_study(
             }
         )
         medians.append(float(med))
-    if len(sizes) > 1:
-        # element [1, 0], as stats.spearmanr reads it: [0, 1] rounds differently
-        rho = float(np.corrcoef(_average_ranks(sizes), _average_ranks(medians))[1, 0])
-    else:
-        rho = 0.0
+    # the sizes ascend, so their ranks are their positions; element [1, 0], as
+    # stats.spearmanr reads it: [0, 1] rounds differently
+    ranks = _average_ranks(medians)
+    rho = float(np.corrcoef(np.arange(1.0, len(ranks) + 1), ranks)[1, 0]) if np.ptp(ranks) else 0.0
     return StudyResult(tuple(rows), rho)

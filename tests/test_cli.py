@@ -281,6 +281,23 @@ def test_horizon_bound_is_the_longest_default_horizon(tmp_path):
             parse_config(write_config(tmp_path, {**doc, key: longest + 1}), {})
 
 
+FARIMA_SOLVE = {"command": "solve", "model": {"kind": "farima", "d": -0.2}, "y": 1.0, "tail_tol": 1e-6}
+
+
+@pytest.mark.parametrize("points", [2**16 + 1, 2**40])
+def test_quadrature_points_above_its_bound_exits_2_naming_it(tmp_path, caplog, points):
+    # the trapezoid kernel sizes its arrays by it: 2**40 ran out of memory
+    doc = {**FARIMA_SOLVE, "solver": {"quadrature_points": 2**16}}
+    assert parse_config(write_config(tmp_path, doc), {})["solver"] == {"quadrature_points": 2**16}
+    out = tmp_path / "run"
+    doc["solver"]["quadrature_points"] = points
+    with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+        assert run(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "validation error: solver: key 'quadrature_points' must be in [2, 65536]"]
+    assert not out.exists()
+
+
 def test_non_finite_y_literal_and_flag_exit_2_naming_key(tmp_path, caplog):
     path = tmp_path / "config.json"
     path.write_text('{"command": "solve", "model": {"kind": "white_noise"}, "y": 1e400}')
@@ -854,6 +871,19 @@ class TestStudyCommand:
         rows = (out / "trend.csv").read_text().strip().splitlines()
         assert rows[0] == "n,p,ks_median,ks_iqr"
         assert len(rows) == 3
+
+    def test_tied_medians_write_rho_zero_as_strict_json(self, tmp_path):
+        # p = 1 at both sizes, so every KS is 1: rho was NaN, which JSON lacks
+        doc = {"command": "study", "model": WHITE, "y": 1e-6, "sizes": [4, 8], "replicates": 2}
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["study", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads((out / "study.json").read_text(), parse_constant=reject)["spearman_rho"] == 0.0
 
     def test_byte_identical_across_jobs(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "study", "model": {"kind": "ma", "theta": [0.5]},

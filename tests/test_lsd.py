@@ -202,8 +202,11 @@ class TestRatioRange:
             sol = solve_lsd(f, y)
         assert law_range_violation(sol) is None and np.all(np.isfinite(sol.density))
 
-    def test_upper_edge_curvature_that_is_not_positive_raises(self):
-        # far from any pole, the difference reads about -1.2e19 at y = 1e-12
+    def test_upper_edge_curvature_that_is_not_positive_raises(self, monkeypatch):
+        # with the midpoint means off, K2 of MA(0.5) keeps no digit at small
+        # |s|, and far from any pole the difference reads about -1.2e19 at
+        # y = 1e-12
+        monkeypatch.setattr(lsd, "_NEAR", 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match=r"^edge search: z'' at the upper edge x = \S+ "
@@ -222,6 +225,62 @@ class TestRatioRange:
                     solve_lsd(MA05, y, variant=variant)
             with pytest.raises(NumericalError, match=message):
                 solve_stieltjes(MA05, y, 1j)
+
+
+# laws whose MA degree exceeds their AR degree: the kernel's constant 1/s and
+# its residue terms cancel as |s| max f -> 0, which small ratios reach
+MA_DOMINANT = [
+    ([1.0, 0.5], [1.0]), ([1.0, -2.0, 1.0], [1.0]), ([1.0, 1.0, 1.0], [1.0]),
+    ([1.0, 0.5, 0.3, 0.2], [1.0]), ([1.0, 0.4, 0.3], [1.0, -0.5]),
+    ([1.0, 0.3, 0.2, 0.1], [1.0, -0.4, 0.1]),
+    # drawn at random, orders 1 to 3
+    ([1.0, 0.013, 0.038, -0.47], [1.0]), ([1.0, -0.742], [1.0]),
+    ([1.0, -0.212, -0.24, -0.953], [1.0]), ([1.0, -0.524], [1.0]), ([1.0, 0.235], [1.0]),
+    ([1.0, 0.966, 0.722, 0.263], [1.0]), ([1.0, 0.684, -0.157], [1.0]), ([1.0, -0.943], [1.0]),
+    ([1.0, 0.888, -0.356], [1.0]), ([1.0, -0.013, -0.454, 0.522], [1.0]),
+    ([1.0, 0.217, 0.227, -0.537], [1.0]), ([1.0, -0.464, -0.237, 0.138], [1.0]),
+]
+
+
+def dense_values(f, points=1 << 16):
+    """f at the midpoints of `points` equal panels of [0, pi]."""
+    return f((np.arange(points) + 0.5) * (np.pi / points))
+
+
+@pytest.mark.parametrize("ma, ar", MA_DOMINANT)
+def test_ma_dominant_laws_solve_at_small_ratios(ma, ar):
+    # the law has mean r mean f; the tabulated law, linear between nodes,
+    # is read here (measured: within 6.7e-14)
+    f = SpectralDensity(ma, ar)
+    mean = np.mean(dense_values(f))
+    for y in 10.0 ** np.arange(-16, -7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_lsd(f, y)
+        assert law_range_violation(sol) is None, y
+        x, cdf = np.append(0.0, sol.grid), np.append(sol.atom_at_zero, sol.cdf_values)
+        moment = np.sum(np.diff(cdf) * (x[1:] + x[:-1])) / 2.0
+        assert abs(moment - mean / y) <= 1e-12 * mean / y, y
+
+
+@pytest.mark.parametrize("ma, ar", [
+    ([1.0, 0.5], [1.0]), ([1.0, 1.0, 1.0], [1.0]), ([1.0, 0.5, 0.3, 0.2], [1.0]),
+    ([1.0, 0.5, 0.3], [1.0, -0.9]), ([1.0, 0.5, 0.3], [1.0, -0.99]),
+])
+def test_ma_dominant_kernel_at_small_s_matches_a_dense_mean(ma, ar):
+    # the residue sum read K2 of MA(0.5) 2.9 off at s = -1e-8; the midpoint
+    # rule aliases at about 0.99^(2n) at the AR root 0.99, so that law takes
+    # more than 512 samples (measured: within 7e-13)
+    f = SpectralDensity(ma, ar)
+    kernel = lsd._kernel(f, SolverConfig())
+    values = dense_values(f)
+    s = np.array([-1e-6, -1e-8, 1e-8j, 1e-6 + 1e-8j])
+    one = 1.0 + s[:, None] * values
+    k1, k2, _ = kernel(s)
+    for got, want in zip((k1, k2, kernel.arg_mean(s)), (np.mean(values / one, axis=1),
+                                                        np.mean((values / one) ** 2, axis=1),
+                                                        np.mean(np.angle(one), axis=1))):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestDensity:

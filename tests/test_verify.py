@@ -1,13 +1,14 @@
 import json
 import logging
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lpspec.lsd import EquationVariant, SolverConfig, all_variants, marchenko_pastur
+from lpspec.lsd import EquationVariant, SolverConfig, all_variants, lsd_cdf, marchenko_pastur
 from lpspec.matrices import gram, segment_matrix
 from lpspec.process import (
     _BLOCK,
@@ -22,7 +23,7 @@ from lpspec.verify import (
     CalibrationError,
     EnsembleConfig,
     StudyResult,
-    _candidate_cdfs,
+    _candidate_laws,
     _one_replicate,
     calibrate_equation_variant,
     convergence_study,
@@ -435,7 +436,7 @@ class TestCalibration:
                                              pass_threshold=0.08)
         config = EnsembleConfig(model=WHITE, p=64, n=128, replicates=4, base_seed=seeds[0],
                                 variants=all_variants())
-        candidates = _candidate_cdfs(config)
+        candidates = {label: lsd_cdf(law) for label, law in _candidate_laws(config).items()}
         for seed in seeds:
             want = run_ensemble(replace(config, base_seed=seed), candidates).pooled_ks
             # float == is bit for bit on positive finite values
@@ -496,7 +497,7 @@ class TestCalibration:
         config = EnsembleConfig(model=WHITE, p=32, n=64, replicates=1, base_seed=0,
                                 variants=all_variants(), solver=SolverConfig(quadrature_points=2),
                                 grid_points=64)
-        cdfs = _candidate_cdfs(config)
+        cdfs = {label: lsd_cdf(law) for label, law in _candidate_laws(config).items()}
         assert len(solved) == 4 and {v.role for v in solved} == {"direct"}
         assert list(cdfs) == [v.label for v in all_variants()]
 
@@ -562,7 +563,7 @@ class TestConvergenceStudy:
         sizes = [16 * (k + 1) for k in range(len(medians))]
         by_n = dict(zip(sizes, medians))
         # each replicate's KS is the one value its ensemble reports
-        monkeypatch.setattr(verify_mod, "_candidate_cdfs", lambda config, y: {config.variants[0].label: None})
+        monkeypatch.setattr(verify_mod, "_scored_cdfs", lambda config, y: {config.variants[0].label: None})
         monkeypatch.setattr(verify_mod, "run_ensemble", lambda config, candidates: SimpleNamespace(
             eigenvalues=[by_n[config.n]]))
         monkeypatch.setattr(verify_mod, "EmpiricalCdf", lambda evs: evs)
@@ -570,6 +571,15 @@ class TestConvergenceStudy:
         res = convergence_study(WHITE, 1.0, sizes, replicates=1, base_seed=0)
         assert [r["ks_median"] for r in res.rows] == medians
         assert res.spearman_rho == stats.spearmanr(sizes, medians).statistic
+
+    def test_tied_medians_read_rho_zero_without_a_warning(self):
+        # p = 1 at both sizes, so every replicate's KS is 1: the correlation
+        # of two rank vectors, one constant, would divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = convergence_study(WHITE, 1e-6, [4, 8], replicates=2, base_seed=0)
+        assert [(r["p"], r["ks_median"]) for r in res.rows] == [(1, 1.0), (1, 1.0)]
+        assert res.spearman_rho == 0.0
 
     def test_trend_negative_rho(self):
         res = convergence_study(WHITE, 1.0, [32, 64, 128], replicates=3, base_seed=4)
