@@ -872,23 +872,30 @@ class LsdSolution:
                    float(doc["atom"]), tuple(map(float, doc["support"])))
 
 
-# Slack of the invariant "atom and CDF in [0, 1]": both are exact up to rounding
+# Slack of the invariants "atom and CDF in [0, 1]" and "CDF never falls": the
+# atom and the CDF are exact up to rounding
 _ROUNDING_SLACK = 1e-12
 
 
 def law_range_violation(solution: LsdSolution) -> str | None:
-    """Why a solved law leaves [0, 1], or None if its atom and CDF lie in it.
+    """Why a solved law leaves [0, 1] or its CDF falls between two nodes, or
+    None if its atom and CDF lie in [0, 1] and the CDF never decreases, each
+    up to `_ROUNDING_SLACK`.
 
     A variant whose equation misses the rank-deficit atom reads a law below 0.
     """
-    atom = solution.atom_at_zero
-    low = min(atom, float(np.min(solution.cdf_values)))
-    high = max(atom, float(np.max(solution.cdf_values)))
-    if low >= -_ROUNDING_SLACK and high <= 1.0 + _ROUNDING_SLACK:
-        return None
-    return (f"invariant atom in [0, 1] and CDF in [0, 1] fails for variant "
-            f"{solution.variant.label} at y = {solution.y!r}: atom {atom!r}, "
-            f"CDF from {low!r} to {high!r}")
+    atom, cdf = solution.atom_at_zero, solution.cdf_values
+    low, high = min(atom, float(np.min(cdf))), max(atom, float(np.max(cdf)))
+    where = f"for variant {solution.variant.label} at y = {solution.y!r}"
+    if not (low >= -_ROUNDING_SLACK and high <= 1.0 + _ROUNDING_SLACK):
+        return (f"invariant atom in [0, 1] and CDF in [0, 1] fails {where}: atom {atom!r}, "
+                f"CDF from {low!r} to {high!r}")
+    falls = np.flatnonzero(np.diff(cdf) < -_ROUNDING_SLACK)
+    if falls.size:
+        i = falls[0] + 1
+        return (f"invariant monotone CDF fails {where}: F falls from {float(cdf[i - 1])!r} "
+                f"to {float(cdf[i])!r} at x = {float(solution.grid[i])!r}")
+    return None
 
 
 def solve_lsd(f, y: float, *, variant: EquationVariant = DEFAULT_VARIANT,

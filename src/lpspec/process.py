@@ -40,7 +40,6 @@ __all__ = [
     "simulate_record",
     "spectral_density",
     "total_energy",
-    "tail_energy",
 ]
 
 _CAUSALITY_TOL = 1e-10
@@ -277,15 +276,16 @@ def total_energy(model: CoefficientModel) -> float:
     return total
 
 
-def tail_energy(model: CoefficientModel, horizon: int) -> float:
-    """Sum of squared coefficients beyond index `horizon`."""
+def _covers(model: CoefficientModel, horizon: int, tail_tol: float, c=None) -> bool:
+    """Whether horizon J truncates the model within `tail_tol`: J is at least
+    its finite order or, for infinite order, the energy past c_J, read off
+    c_0..c_J (the head of `c` when given), is at most tail_tol * total."""
     order = model.finite_order
     if order is not None:
-        return 0.0 if horizon >= order else float(
-            np.sum(np.square(coefficients(model, order + 1)[horizon + 1 :]))
-        )
-    c = coefficients(model, horizon + 1)
-    return max(0.0, total_energy(model) - float(c @ c))
+        return horizon >= order
+    c = coefficients(model, horizon + 1) if c is None else c[: horizon + 1]
+    total = total_energy(model)
+    return total - float(c @ c) <= tail_tol * total
 
 
 def default_horizon(
@@ -294,28 +294,20 @@ def default_horizon(
     tail_tol: float = 1e-12,
     max_horizon: int = MAX_HORIZON,
 ) -> int:
-    """Simulation horizon: max(n, smallest J with tail energy <= tail_tol * total).
+    """Simulation horizon: max(n, the least J >= 1 that `_covers` the model),
+    found by doubling J and then bisecting.
 
-    Finite-order models are exact for any J >= model order.  Raises if no
-    horizon below `max_horizon` meets the tolerance (slowly decaying
-    coefficients); pass a larger `tail_tol` in that case.
+    Raises if no horizon up to `max_horizon` meets the tolerance (slowly
+    decaying coefficients); pass a larger `tail_tol` in that case.
     """
-    order = model.finite_order
-    if order is not None:
-        return max(n, order)
-    total = total_energy(model)
-
-    def short(c: np.ndarray, h: int) -> bool:  # the tail beyond h, from c_0..c_h
-        return total - float(c[: h + 1] @ c[: h + 1]) <= tail_tol * total
-
     j = 1
     while j <= max_horizon:
         c = coefficients(model, j + 1)
-        if short(c, j):
+        if _covers(model, j, tail_tol, c):
             lo, hi = j // 2, j
             while lo + 1 < hi:
                 mid = (lo + hi) // 2
-                if short(c, mid):
+                if _covers(model, mid, tail_tol, c):
                     hi = mid
                 else:
                     lo = mid
@@ -399,17 +391,12 @@ class ProcessSpec:
             raise ValueError("horizon must be non-negative")
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError("tail_tol must lie in (0, 1)")
-        order = self.model.finite_order
-        if order is None:
-            ratio = tail_energy(self.model, self.horizon) / total_energy(self.model)
-            if ratio > self.tail_tol:
-                raise ValueError(
-                    f"tail energy ratio {ratio:.3e} at horizon {self.horizon} exceeds "
-                    f"tail_tol {self.tail_tol:g} for {self.model.label()}"
-                )
-        elif self.horizon < order:
-            raise ValueError(f"horizon {self.horizon} is below the order {order} of "
-                             f"{self.model.label()}")
+        if not _covers(self.model, self.horizon, self.tail_tol):
+            order, label = self.model.finite_order, self.model.label()
+            if order is not None:
+                raise ValueError(f"horizon {self.horizon} is below the order {order} of {label}")
+            raise ValueError(f"tail energy past horizon {self.horizon} exceeds tail_tol "
+                             f"{self.tail_tol:g} of the total for {label}")
 
     def coefficient_array(self) -> np.ndarray:
         """Fresh c_0..c_K, the record's kernel: K is the model's finite order, else J."""

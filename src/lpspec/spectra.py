@@ -54,23 +54,25 @@ def sym_eigenvalues(matrix) -> EmpiricalSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
     Rejects non-symmetric input (relative tolerance 1e-10).  Eigenvalues off
-    the trace identity mean a failed factorization and raise EigensolverError.
+    the trace identity, as from a failed factorization or a non-finite
+    diagonal or lower triangle (NaN ones), raise EigensolverError.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     asym, rows = 0.0, max(1, 2**14 // max(len(m), 1))  # a block of differences is at most 128 KB
-    for i in range(0, len(m), rows):  # max |M - M^T| on the upper triangle; a NaN propagates
-        d = m[i:i + rows, i:] - m[i:, i:i + rows].T
-        asym = float(np.abs(d, out=d).max(initial=asym))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which the trace check refuses
+        for i in range(0, len(m), rows):  # max |M - M^T| on the upper triangle; a NaN propagates
+            d = m[i:i + rows, i:] - m[i:, i:i + rows].T
+            asym = float(np.abs(d, out=d).max(initial=asym))
+        trace = float(np.trace(m))
     if asym and asym > _SYMMETRY_TOL * max(1.0, float(m.max()), -float(m.min())):
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
     try:
         ev = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise EigensolverError(f"eigvalsh failed on {m.shape[0]}x{m.shape[1]} matrix: {exc}")
-    trace = float(np.trace(m))
-    if abs(float(np.sum(ev)) - trace) > _TRACE_TOL * max(1.0, abs(trace)):
+    if not abs(float(np.sum(ev)) - trace) <= _TRACE_TOL * max(1.0, abs(trace)):  # or a NaN
         raise EigensolverError(
             f"eigenvalue sum {np.sum(ev):.12g} violates trace {trace:.12g}"
         )

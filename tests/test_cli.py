@@ -506,6 +506,23 @@ class TestSolveCommand:
         assert "atom in [0, 1] and CDF in [0, 1]" in message
         assert "raw-y-companion" in message and "y = 0.5" in message
 
+    def test_decreasing_cdf_exit_code(self, tmp_path, monkeypatch, caplog):
+        # a law whose CDF falls between two nodes, though it stays in [0, 1]
+        from lpspec import cli
+        from lpspec.lsd import DEFAULT_VARIANT, LsdSolution
+
+        law = LsdSolution(0.5, DEFAULT_VARIANT, np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4),
+                          np.array([0.25, 0.5, 0.375, 1.0]), 0.0, (1.0, 4.0))
+        monkeypatch.setattr(cli, "solve_lsd", lambda *args, **kwargs: law)
+        out = tmp_path / "run"
+        doc = {"command": "solve", "model": {"kind": "ma", "theta": [0.5]}, "y": 0.5}
+        with caplog.at_level(logging.ERROR, logger="lpspec.cli"):
+            assert run(["solve", "--out", str(out), "--config", write_config(tmp_path, doc)]) == 3
+        assert not out.exists() or not any(out.iterdir())
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "numerical failure: invariant monotone CDF fails for variant normalized-yinv-direct "
+            "at y = 0.5: F falls from 0.5 to 0.375 at x = 3.0"]
+
 
 @pytest.mark.parametrize(
     "command, model, peak",

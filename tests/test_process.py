@@ -22,7 +22,6 @@ from lpspec.process import (
     filtered_records,
     simulate_record,
     spectral_density,
-    tail_energy,
     total_energy,
 )
 
@@ -304,13 +303,21 @@ class TestHorizonAndTail:
         assert total_energy(CoefficientModel.explicit([1.0, -0.5, 0.25, 0.0, 2.0])) == 5.3125
         assert total_energy(CoefficientModel.farima(0.0)) == 1.0
 
-    def test_tail_energy_of_a_finite_order_model(self):
-        m = CoefficientModel.ma([0.5, -0.25, 0.125])
-        assert [tail_energy(m, h) for h in range(5)] == [0.328125, 0.078125, 0.015625, 0.0, 0.0]
-
-    def test_tail_energy_monotone(self):
-        m = CoefficientModel.ar1(0.5)
-        assert tail_energy(m, 5) > tail_energy(m, 10) > 0
+    @pytest.mark.parametrize("model", [
+        CoefficientModel.ar1(0.5), CoefficientModel.ar1(0.9), CoefficientModel.ar1(-0.99),
+        CoefficientModel.arma([0.5], [0.4]), CoefficientModel.arma([1.2, -0.5], [0.3]),
+        CoefficientModel.ma([0.5]), CoefficientModel.farima(-0.2),
+    ], ids=lambda m: m.label())
+    def test_a_spec_accepts_the_default_horizon_and_rejects_one_less(self, model):
+        # one rule decides both, so the least default horizon is the least a spec takes
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+            try:
+                j = default_horizon(model, 1, tol)
+            except ValueError:  # no horizon up to 2**22 meets it (FARIMA at 1e-12)
+                continue
+            assert ProcessSpec(model, InnovationSpec(), j, tol).horizon == j
+            with pytest.raises(ValueError, match="tail|below the order"):
+                ProcessSpec(model, InnovationSpec(), j - 1, tol)
 
 
 class TestDecayCheck:

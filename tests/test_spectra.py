@@ -70,6 +70,15 @@ class TestSymEigenvalues:
         assert sym_eigenvalues(m).eigenvalues.tobytes() == \
             np.linalg.eigvalsh([[1.0, 0.5], [0.5, 2.0]]).tobytes()
 
+    @pytest.mark.parametrize("m", [[[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_matrix_raises_without_a_warning(self, m):
+        # eigvalsh returns NaN eigenvalues, whose sum no trace check may pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match="violates trace"):
+                sym_eigenvalues(np.array(m))
+
     @pytest.mark.parametrize("p", [256, 1024])
     def test_exact_gram_gives_the_eigvalsh_bits(self, p):
         # the blockwise symmetry measure leaves an exact Gram's eigenvalues as they were
