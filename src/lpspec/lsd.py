@@ -29,8 +29,8 @@ of s at once.  Two kernels compute them:
 
 * exact (`_Rational`) - for an ARMA density f = |b|^2/|a|^2 of order up to
   _EXACT_ORDER, f is a ratio of polynomials in u = 2 cos w and K is a finite
-  residue sum over the roots of |a|^2 + s|b|^2 (a midpoint mean over
-  frequencies where the MA degree is higher and |s| max f < _NEAR);
+  residue sum over the roots of |a|^2 + s|b|^2 (the trapezoid kernel where
+  the MA degree is higher and |s| max f < _NEAR);
 * trapezoid (`_Population`) - for FARIMA, long coefficient lists and other
   callables, the quadrature samples of f form a discrete law: values
   t_j > 0, weights w_j.
@@ -112,8 +112,8 @@ _PEAK_RANGE = 1e-101, 1e101
 _RATIO_RANGE = 1e-16, 1e16
 # frequencies on [0, pi] that sample a rational f for its median
 _MEDIAN_SAMPLES = 512
-# where |s| max f < _NEAR, a kernel whose MA degree exceeds its AR degree takes
-# the midpoint mean over at most _NEAR_SAMPLES frequencies (`_Rational._near`)
+# where |s| max f < _NEAR, an exact kernel whose MA degree exceeds its AR degree
+# takes the trapezoid kernel over at most _NEAR_SAMPLES panels of [0, pi]
 _NEAR, _NEAR_SAMPLES = 0.1, 1 << 13
 # an interval reaching below the median m of f is graded in decades
 # (`_nodes`) where sqrt(m) < _DECADES_BELOW sqrt(b); that grading solves no
@@ -295,32 +295,23 @@ class _Rational:
         self.high = float(vals.max())
         self.median = float(np.median(self._midpoints(_MEDIAN_SAMPLES)))
         # where A has the lower degree, c = 1/s and the residues cancel it as
-        # |s| max f -> 0.  There the midpoint mean over n frequencies is exact
-        # to rounding once rho^(2n) <= eps, rho the largest modulus of a root
-        # zeta of A inside the unit disk, u = zeta + 1/zeta (`_branch`)
-        self.samples, self.radius = None, 0.0  # no s is close
+        # |s| max f -> 0.  There the trapezoid kernel over n panels of [0, pi]
+        # is exact to rounding once rho^(2n) <= eps, rho the largest modulus of
+        # a root zeta of A inside the unit disk, u = zeta + 1/zeta (`_branch`)
+        self.near, self.radius = None, 0.0  # no s is close
         if self.den[m] == 0.0:
             u = np.roots(self.den[::-1]).astype(complex)
             rho, n = np.abs(0.5 * (u - _branch(u))).max(initial=0.0), _MEDIAN_SAMPLES
             while rho ** (2 * n) > _EPS and n < _NEAR_SAMPLES:
                 n *= 2
             if rho ** (2 * n) <= _EPS:
-                self.samples, self.radius = self._midpoints(n), _NEAR / self.high
+                self.near = _Population(SpectralDensity(ma, ar), SolverConfig(2 * n))
+                self.radius = _NEAR / self.high
 
     def _midpoints(self, n: int) -> np.ndarray:
         """f at the midpoints of n equal panels of [0, pi]."""
         u = 2.0 * np.cos((np.arange(n) + 0.5) * (math.pi / n))
         return np.polyval(self.num[::-1], u) / np.polyval(self.den[::-1], u)
-
-    def _near(self, s: np.ndarray):
-        """K1, K2 and their noise eps |K1| as midpoint means over the samples,
-        taken where |s| < radius = _NEAR / max f."""
-        t, parts = self.samples, []
-        for block in _blocks(s, t.size):
-            a = t / (1.0 + block[:, None] * t)
-            parts.append((a.mean(axis=1), (a * a).mean(axis=1)))
-        k1, k2 = (np.concatenate(part) for part in zip(*parts))
-        return k1, k2, _EPS * np.abs(k1)
 
     def _roots(self, q: np.ndarray) -> np.ndarray:
         """The m roots u_k of Q at each row of q, at order 2 without cancellation."""
@@ -346,9 +337,7 @@ class _Rational:
         arg = np.angle(q[:, -1] * np.prod(-0.5 * (u + _branch(u)), axis=1))
         close = np.abs(s) < self.radius
         if close.any():
-            t = self.samples
-            arg[close] = np.concatenate([np.angle(1.0 + block[:, None] * t).mean(axis=1)
-                                         for block in _blocks(s[close], t.size)])
+            arg[close] = self.near.arg_mean(s[close])
         return arg
 
     def __call__(self, s):
@@ -356,7 +345,7 @@ class _Rational:
         k1, k2, noise = self._residues(s)
         close = np.abs(s) < self.radius
         if close.any():
-            k1[close], k2[close], noise[close] = self._near(s[close])
+            k1[close], k2[close], noise[close] = self.near(s[close])
         return k1, k2, noise
 
     def _residues(self, s: np.ndarray):

@@ -79,7 +79,8 @@ __all__ = [
 log = logging.getLogger("lpspec.verify")
 
 _MASK64 = (1 << 64) - 1
-# memory budget of an ensemble: p * n * replicates matrix cells
+# memory budget of an ensemble, in cells: a p x n record for each of the
+# min(jobs, replicates) replicates in flight, and p eigenvalues per replicate
 _MAX_CELLS = 1 << 25
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
@@ -131,11 +132,11 @@ class EnsembleConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        cells = self.p * self.n * self.replicates
+        cells = self.p * self.n * min(self.jobs, self.replicates) + self.p * self.replicates
         if cells > _MAX_CELLS:
             raise ValueError(
-                f"p*n*replicates = {cells} exceeds the memory budget of "
-                f"{_MAX_CELLS} cells"
+                f"p*n*min(jobs, replicates) + p*replicates = {cells} exceeds the memory "
+                f"budget of {_MAX_CELLS} cells"
             )
         object.__setattr__(self, "_horizon", self.horizon if self.horizon is not None
                            else default_horizon(self.model, self.n, self.tail_tol))

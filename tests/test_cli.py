@@ -750,6 +750,18 @@ class TestSimulateCommand:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_budget_counts_the_replicates_in_flight(self, tmp_path, caplog):
+        # one 4096 x 4096 record fits the budget, two at once do not
+        out = tmp_path / "run"
+        code = run([
+            "compare", "--p", "4096", "--n", "4096", "--replicates", "2", "--jobs", "2",
+            "--out", str(out),
+            "--config", write_config(tmp_path, {"command": "compare", "model": {"kind": "white_noise"}}),
+        ])
+        assert code == 2
+        assert "p*n*min(jobs, replicates) + p*replicates = 33562624" in caplog.text
+        assert not out.exists() or not any(out.iterdir())
+
     def test_byte_identical_across_jobs(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "simulate", "model": {"kind": "ma", "theta": [0.5]},
                                       "p": 24, "n": 16, "replicates": 3, "seed": 11})

@@ -64,6 +64,14 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match="budget"):
             EnsembleConfig(model=WHITE, p=100_000, n=1000, replicates=10, base_seed=0)
 
+    def test_memory_budget_counts_one_record_per_replicate_in_flight(self):
+        # the `mc` shape holds one record, one Gram and 17 x 2048 eigenvalues
+        EnsembleConfig(model=CoefficientModel.ma([0.5]), p=2048, n=1024, replicates=17, base_seed=0)
+        EnsembleConfig(model=WHITE, p=4096, n=4096, replicates=2, base_seed=0)
+        with pytest.raises(ValueError, match=r"^p\*n\*min\(jobs, replicates\) \+ p\*replicates = "
+                           r"33562624 exceeds the memory budget of 33554432 cells$"):
+            EnsembleConfig(model=WHITE, p=4096, n=4096, replicates=2, base_seed=0, jobs=2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleConfig(model=WHITE, p=0, n=4, replicates=1, base_seed=0)
