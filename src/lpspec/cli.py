@@ -4,9 +4,11 @@ Commands: simulate | solve | compare | calibrate | study.  Experiments are
 described by a JSON config file and/or flags (flags win, with a logged
 notice).  Each command accepts only the keys it reads (`_KEYS`), so the
 manifest.json every run writes echoes only settings that took effect, plus
-tool versions and numpy's BLAS with its live thread count (at a Gram side of
-256 or more the eigenvalue bits depend on it); the manifest's "timestamp"
-field is the only output that may differ between identical runs.
+tool versions and numpy's BLAS with its thread count at run start, which
+large ensembles run at (at a Gram side of 256 or more the eigenvalue bits
+depend on it; ensembles of small records run at one thread, see `verify`);
+the manifest's "timestamp" field is the only output that may differ between
+identical runs.
 
 Exit codes: 0 success, 2 validation error (an unreadable config or unwritable
 outputs among them), 3 numerical failure.  A failed run leaves none of its outputs.
@@ -15,7 +17,6 @@ outputs among them), 3 numerical failure.  A failed run leaves none of its outpu
 from __future__ import annotations
 
 import argparse
-import ctypes
 import datetime
 import functools
 import json
@@ -50,6 +51,7 @@ from .verify import (
     CalibrationError,
     EnsembleConfig,
     EnsembleReport,
+    _openblas,
     calibrate_equation_variant,
     convergence_study,
     run_ensemble,
@@ -452,12 +454,9 @@ def _blas() -> dict:
     """numpy's BLAS vendor and version, and the live thread count of its
     bundled OpenBLAS (None where that library or its getter is missing)."""
     build = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    threads = None
-    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
-        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            threads = getter()
-    return {"vendor": build.get("name"), "version": build.get("version"), "threads": threads}
+    lib = _openblas()
+    return {"vendor": build.get("name"), "version": build.get("version"),
+            "threads": lib.scipy_openblas_get_num_threads64_() if lib is not None else None}
 
 
 def run(argv=None) -> int:

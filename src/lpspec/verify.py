@@ -19,14 +19,24 @@ streams, so one draw per replicate can serve several models when each of
 them but the last is white noise, whose record is the draws themselves:
 calibration filters its MA(0.5) confirmation from the first seed's
 white-noise draws.
+
+An ensemble whose record has at most `_SMALL_RECORD` cells runs its Grams
+and eigensolves at one thread of numpy's bundled OpenBLAS, whatever `jobs`
+is, so its bytes are those of a one-thread run on every machine; at one job
+a helper thread draws the next replicate's first record meanwhile.  Larger
+ensembles run at the thread count the process has.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -80,8 +90,15 @@ log = logging.getLogger("lpspec.verify")
 
 _MASK64 = (1 << 64) - 1
 # memory budget of an ensemble, in cells: a p x n record for each of the
-# min(jobs, replicates) replicates in flight, and p eigenvalues per replicate
+# min(jobs, replicates) replicates in flight, one more drawn ahead at jobs 1
+# (`_SMALL_RECORD`), and p eigenvalues per replicate
 _MAX_CELLS = 1 << 25
+# records of at most this many cells (2 MB) eigensolve at one BLAS thread and,
+# at jobs 1, draw the next record on a helper thread.  On 2 cores, against
+# serial runs at two BLAS threads, that was 9-20% faster at 2**16 and 2**17
+# cells, even at 2**18 (512 x 512), mixed at 2**19 and 25% slower at the
+# 2048 x 1024 shape (2**21)
+_SMALL_RECORD = 1 << 18
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
 
@@ -132,10 +149,13 @@ class EnsembleConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        cells = self.p * self.n * min(self.jobs, self.replicates) + self.p * self.replicates
+        records, what = min(self.jobs, self.replicates), "min(jobs, replicates)"
+        if _draws_ahead(self):
+            records, what = records + 1, "(min(jobs, replicates) + 1 drawn ahead)"
+        cells = self.p * self.n * records + self.p * self.replicates
         if cells > _MAX_CELLS:
             raise ValueError(
-                f"p*n*min(jobs, replicates) + p*replicates = {cells} exceeds the memory "
+                f"p*n*{what} + p*replicates = {cells} exceeds the memory "
                 f"budget of {_MAX_CELLS} cells"
             )
         object.__setattr__(self, "_horizon", self.horizon if self.horizon is not None
@@ -226,11 +246,22 @@ def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     return {label: lsd_cdf(law) for label, law in laws.items()}
 
 
-def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None) -> list:
+def _records(config: EnsembleConfig, replicate: int, kernels=None):
+    """The records `_one_replicate` reads, each drawn or filtered when it is
+    asked for; a generator keeps no record it has yielded."""
+    spec = config.replicate_spec(replicate)
+    if kernels is None:
+        yield simulate_record(spec, config.shape.cells)
+    else:
+        yield from filtered_records(spec, config.shape.cells, kernels)
+
+
+def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None, records=None) -> list:
     """(eigenvalues, trace statistic) of one replicate of the config's model,
     or, given `kernels`, of each kernel's record from one draw of the
     config's stream (see `filtered_records`).  None stands in for a record
-    whose eigensolve failed, which is logged.
+    whose eigensolve failed, which is logged.  `records` are the replicate's
+    `_records`, drawn here by default.
 
     Each Gram is formed and eigensolved before the next record is filtered.
     The config's own record is then squared in place for the trace statistic
@@ -239,15 +270,9 @@ def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None) -> list
     squaring would overwrite, so they take no trace statistic (None); the
     replicate holds the draws, one Gram and one filter block.
     """
-    spec = config.replicate_spec(replicate)
-    cells = config.shape.cells
-    if kernels is None:  # a generator keeps no record it has yielded
-        records = (simulate_record(spec, cells) for _ in range(1))
-    else:
-        records = filtered_records(spec, cells, kernels)
     p, n = config.p, config.n
     out = []
-    for record in records:
+    for record in _records(config, replicate, kernels) if records is None else records:
         x = segment_matrix(record, config.shape)
         # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
         g = gram(x) if p <= n else gram(x.T)
@@ -272,16 +297,79 @@ def _sum_of_squares(record: np.ndarray) -> float:
     return float(np.sum(np.multiply(record, record, out=record)))
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded once per process: the library under
+    numpy.libs with the `scipy_openblas_get_num_threads64_` getter, or None.
+    The getter and the setter, where there is one, take and return C ints."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+                lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one OpenBLAS thread and restore the count after it,
+    also on an exception; where numpy's OpenBLAS has no setter, nothing is
+    pinned.  The count is process-wide."""
+    lib = _openblas()
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+def _draws_ahead(config: EnsembleConfig) -> bool:
+    """Whether `_replicates` runs `_drawn_ahead`."""
+    return config.jobs == 1 and config.replicates > 1 and config.shape.cells <= _SMALL_RECORD
+
+
 def _replicates(config: EnsembleConfig, kernels=None) -> list:
     """`_one_replicate` of every replicate, in replicate order.  Replicates
-    may run on `config.jobs` threads; the order of the results is theirs."""
+    may run on `config.jobs` threads; the order of the results is theirs.
+    A small ensemble (`_SMALL_RECORD`) runs at one BLAS thread and, at one
+    job, draws its records ahead (`_drawn_ahead`)."""
     def work(r: int) -> list:
         return _one_replicate(config, r, kernels)
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(work, range(config.replicates)))
-    return [work(r) for r in range(config.replicates)]
+    small = config.shape.cells <= _SMALL_RECORD
+    with _one_blas_thread() if small else contextlib.nullcontext():
+        if config.jobs > 1:
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                return list(pool.map(work, range(config.replicates)))
+        if _draws_ahead(config):
+            return _drawn_ahead(config, kernels)
+        return [work(r) for r in range(config.replicates)]
+
+
+def _drawn_ahead(config: EnsembleConfig, kernels=None) -> list:
+    """`_one_replicate` of every replicate, in replicate order, with each
+    replicate's first record drawn on a helper thread while the replicate
+    before it is eigensolved, so two records are alive at a time."""
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def records(r: int):
+            rest = _records(config, r, kernels)
+            drawn = [helper.submit(next, rest)]  # popped, so nothing here keeps the record
+            return itertools.chain((drawn.pop().result() for _ in range(1)), rest)
+
+        out, ahead = [], records(0)
+        for r in range(config.replicates):
+            current, ahead = ahead, records(r + 1) if r + 1 < config.replicates else None
+            out.append(_one_replicate(config, r, kernels, current))
+        return out
 
 
 def _distance_tables(eigenvalues: np.ndarray, candidates: dict) -> tuple[dict, dict]:

@@ -843,18 +843,30 @@ class TestCompareCommand:
 
     def test_byte_identical_across_jobs_at_gram_side_256(self, tmp_path):
         # from a Gram side of 256 the eigenvalue bits depend on the BLAS thread
-        # count, so the two runs are compared with each other, not with a digest
+        # count; a record of 2**17 cells is eigensolved at one thread whatever
+        # count the process has, so one digest holds at 1 and 2 threads and jobs
+        import hashlib
+
+        from lpspec.verify import _openblas
+
         cfg = write_config(
             tmp_path,
             {"command": "compare", "model": {"kind": "ma", "theta": [0.5]},
              "p": 512, "n": 256, "replicates": 3, "seed": 7},
         )
-        reports = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"j{jobs}"
-            assert run(["compare", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 0
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1]
+        lib = _openblas()
+        before = lib.scipy_openblas_get_num_threads64_()
+        digests = set()
+        try:
+            for threads in (1, 2):
+                lib.scipy_openblas_set_num_threads64_(threads)
+                for jobs in ("1", "2"):
+                    out = tmp_path / f"t{threads}j{jobs}"
+                    assert run(["compare", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 0
+                    digests.add(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        assert digests == {"84f4ea3af855517ef0006f3c86a4695626520f39762a5551f8911841158038c1"}
 
     def test_horizon_below_model_order_exit_code(self, tmp_path, caplog):
         # a horizon of 0 would simulate white noise against the MA(0.5) law

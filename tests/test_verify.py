@@ -1,5 +1,6 @@
 import json
 import logging
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -24,7 +25,10 @@ from lpspec.verify import (
     EnsembleConfig,
     StudyResult,
     _candidate_laws,
+    _one_blas_thread,
     _one_replicate,
+    _openblas,
+    _replicates,
     calibrate_equation_variant,
     convergence_study,
     derive_seed,
@@ -71,6 +75,16 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match=r"^p\*n\*min\(jobs, replicates\) \+ p\*replicates = "
                            r"33562624 exceeds the memory budget of 33554432 cells$"):
             EnsembleConfig(model=WHITE, p=4096, n=4096, replicates=2, base_seed=0, jobs=2)
+
+    def test_memory_budget_counts_the_record_drawn_ahead(self):
+        # at jobs 1 a 512 x 512 ensemble draws the next record while one is
+        # eigensolved: two records, as two jobs hold
+        EnsembleConfig(model=WHITE, p=512, n=512, replicates=64512, base_seed=0)
+        for jobs, what in ((1, r"\(min\(jobs, replicates\) \+ 1 drawn ahead\)"),
+                           (2, r"min\(jobs, replicates\)")):
+            with pytest.raises(ValueError, match=rf"^p\*n\*{what} \+ p\*replicates = 33554944 "
+                               r"exceeds the memory budget of 33554432 cells$"):
+                EnsembleConfig(model=WHITE, p=512, n=512, replicates=64513, base_seed=0, jobs=jobs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -287,6 +301,104 @@ class TestReplicateEigenvalues:
         kernels = self.white_and_ma_kernels(config)
         white, ma = _one_replicate(config, 0, kernels)
         assert white is None and ma[0].shape == (16,)
+
+
+def blas_threads() -> int:
+    return _openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The process's OpenBLAS at two threads for the test, then as it was."""
+    lib = _openblas()
+    before = blas_threads()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+class TestSmallEnsembles:
+    MA = CoefficientModel.ma([0.5])
+
+    def spied(self, monkeypatch):
+        """The threads that draw records and the BLAS thread counts the eigensolves see."""
+        import lpspec.verify as verify_mod
+
+        seen = {"draws": [], "threads": []}
+        draw, solve = verify_mod.simulate_record, verify_mod.sym_eigenvalues
+
+        def spied_draw(*args):
+            seen["draws"].append(threading.current_thread() is threading.main_thread())
+            return draw(*args)
+
+        def spied_solve(matrix):
+            seen["threads"].append(blas_threads())
+            return solve(matrix)
+
+        monkeypatch.setattr(verify_mod, "simulate_record", spied_draw)
+        monkeypatch.setattr(verify_mod, "sym_eigenvalues", spied_solve)
+        return seen
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_drawn_ahead_equals_serial_replicates(self, monkeypatch, two_blas_threads, shared):
+        # a Gram side of 256, where the eigenvalue bits depend on the thread count
+        config = EnsembleConfig(model=WHITE if shared else self.MA, p=256, n=512, replicates=3,
+                                base_seed=5)
+        kernels = ([c.replicate_spec(0).coefficient_array() for c in (config, replace(config, model=self.MA))]
+                   if shared else None)
+        with _one_blas_thread():
+            serial = [_one_replicate(config, r, kernels) for r in range(config.replicates)]
+        seen = self.spied(monkeypatch)
+        ahead = _replicates(config, kernels)
+        assert [[(evs.tobytes(), trace) for evs, trace in results] for results in ahead] == \
+               [[(evs.tobytes(), trace) for evs, trace in results] for results in serial]
+        assert set(seen["threads"]) == {1}
+        if not shared:  # the shared pass draws through `filtered_records`
+            assert seen["draws"] == [False] * 3
+
+    @pytest.mark.parametrize("p, n", [(256, 512), (512, 256)])
+    def test_drawn_ahead_holds_two_records_and_one_gram(self, p, n):
+        # the record drawn ahead, and the one eigensolved (released before its
+        # eigensolve, so the Gram, its symmetry mask and a filter block of the
+        # draw ahead may meet it) with the eigenvalues kept so far
+        config = EnsembleConfig(model=self.MA, p=p, n=n, replicates=4, base_seed=4)
+        record = 8 * (p * n + config.resolved_horizon())
+        ceiling = 2 * record + 9 * min(p, n) ** 2 + 8 * _BLOCK + 8 * p * config.replicates
+        _replicates(config)
+        tracemalloc.start()
+        try:
+            _replicates(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record <= peak <= 1.01 * ceiling
+
+    @pytest.mark.parametrize("p, n, jobs, pinned", [(512, 512, 1, True), (512, 512, 2, True),
+                                                    (1024, 512, 1, False), (1024, 512, 2, False)])
+    def test_only_records_up_to_2_mb_are_pinned(self, monkeypatch, two_blas_threads, p, n, jobs, pinned):
+        seen = self.spied(monkeypatch)
+        run_ensemble(EnsembleConfig(model=self.MA, p=p, n=n, replicates=2, base_seed=1, jobs=jobs), {})
+        assert seen["threads"] == [1 if pinned else 2] * 2
+        if jobs == 1:  # the first record is drawn on the main thread unless a helper draws ahead
+            assert seen["draws"] == [not pinned] * 2
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_thread_count_restored_when_a_draw_raises(self, monkeypatch, two_blas_threads, jobs):
+        import lpspec.verify as verify_mod
+
+        draw = verify_mod.simulate_record
+
+        def failing(spec, length):
+            if spec.innovations.seed == derive_seed(1, 2):
+                raise RuntimeError("synthetic draw failure")
+            return draw(spec, length)
+
+        monkeypatch.setattr(verify_mod, "simulate_record", failing)
+        config = EnsembleConfig(model=self.MA, p=32, n=64, replicates=4, base_seed=1, jobs=jobs)
+        with pytest.raises(RuntimeError, match="synthetic draw failure"):
+            run_ensemble(config, {})
+        assert blas_threads() == 2
 
 
 def pooled_cdf(model, seed, distribution="gaussian"):
