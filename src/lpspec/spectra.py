@@ -50,16 +50,39 @@ class EmpiricalSpectrum:
         return EmpiricalCdf(self.eigenvalues)
 
 
-def sym_eigenvalues(matrix) -> EmpiricalSpectrum:
+def sym_eigenvalues(matrix):
     """All eigenvalues of a symmetric matrix, ascending.
 
     Rejects non-symmetric input (relative tolerance 1e-10).  Eigenvalues off
     the trace identity, as from a failed factorization or a non-finite
     diagonal or lower triangle (NaN ones), raise EigensolverError.
+
+    A (k, m, m) stack is eigensolved in one `eigvalsh` call, with the bits
+    of k calls; numpy releases the GIL for it where k * m > 500.  Its result
+    lists, per matrix, the EmpiricalSpectrum or the error that matrix alone
+    raises.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    if m.ndim == 2:
+        return _spectrum(m)
+    try:
+        evs = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:  # solved alone, each matrix says whether it failed
+        evs = [None] * len(m)
+    out = []
+    for one, ev in zip(m, evs):
+        try:
+            out.append(_spectrum(one, ev))
+        except (ValueError, EigensolverError) as exc:
+            out.append(exc)
+    return out
+
+
+def _spectrum(m: np.ndarray, ev=None) -> EmpiricalSpectrum:
+    """`sym_eigenvalues` of the square matrix `m`, whose eigenvalues `ev` are
+    taken here unless given."""
     asym, rows = 0.0, max(1, 2**14 // max(len(m), 1))  # a block of differences is at most 128 KB
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which the trace check refuses
         for i in range(0, len(m), rows):  # max |M - M^T| on the upper triangle; a NaN propagates
@@ -68,10 +91,11 @@ def sym_eigenvalues(matrix) -> EmpiricalSpectrum:
         trace = float(np.trace(m))
     if asym and asym > _SYMMETRY_TOL * max(1.0, float(m.max()), -float(m.min())):
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    try:
-        ev = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
-        raise EigensolverError(f"eigvalsh failed on {m.shape[0]}x{m.shape[1]} matrix: {exc}")
+    if ev is None:
+        try:
+            ev = np.linalg.eigvalsh(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigvalsh failed on {m.shape[0]}x{m.shape[1]} matrix: {exc}")
     if not abs(float(np.sum(ev)) - trace) <= _TRACE_TOL * max(1.0, abs(trace)):  # or a NaN
         raise EigensolverError(
             f"eigenvalue sum {np.sum(ev):.12g} violates trace {trace:.12g}"

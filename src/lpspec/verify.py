@@ -22,9 +22,12 @@ white-noise draws.
 
 An ensemble whose record has at most `_SMALL_RECORD` cells runs its Grams
 and eigensolves at one thread of numpy's bundled OpenBLAS, whatever `jobs`
-is, so its bytes are those of a one-thread run on every machine; at one job
-a helper thread draws the next replicate's first record meanwhile.  Larger
-ensembles run at the thread count the process has.
+is, so its bytes are those of a one-thread run on every machine.  It runs
+on `jobs` lanes, and on two at one job: a lane is a thread, the calling one
+among them, working through units of replicates.  Where the Gram side
+exceeds `_PAIR_SIDE`, a unit eigensolves two Grams in one stacked call,
+which numpy makes without the GIL, so the lanes overlap.  Larger ensembles
+run at the thread count the process has, on `jobs` lanes.
 """
 
 from __future__ import annotations
@@ -89,16 +92,17 @@ __all__ = [
 log = logging.getLogger("lpspec.verify")
 
 _MASK64 = (1 << 64) - 1
-# memory budget of an ensemble, in cells: a p x n record for each of the
-# min(jobs, replicates) replicates in flight, one more drawn ahead at jobs 1
-# (`_SMALL_RECORD`), and p eigenvalues per replicate
+# memory budget of an ensemble, in cells: a p x n record for each lane with a
+# replicate in flight, min(lanes, replicates) of them (`_lanes`), and p
+# eigenvalues per replicate
 _MAX_CELLS = 1 << 25
-# records of at most this many cells (2 MB) eigensolve at one BLAS thread and,
-# at jobs 1, draw the next record on a helper thread.  On 2 cores, against
-# serial runs at two BLAS threads, that was 9-20% faster at 2**16 and 2**17
-# cells, even at 2**18 (512 x 512), mixed at 2**19 and 25% slower at the
-# 2048 x 1024 shape (2**21)
+# records of at most this many cells (2 MB) eigensolve at one BLAS thread, on
+# two lanes at jobs 1.  On 2 cores, against serial runs at two BLAS threads, a
+# second thread drawing records was 9-20% faster at 2**16 and 2**17 cells, even
+# at 2**18 (512 x 512), mixed at 2**19 and 25% slower at 2048 x 1024 (2**21)
 _SMALL_RECORD = 1 << 18
+# numpy's eigvalsh releases the GIL only where stack count * side > 500
+_PAIR_SIDE = 250
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
 
@@ -149,10 +153,9 @@ class EnsembleConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        records, what = min(self.jobs, self.replicates), "min(jobs, replicates)"
-        if _draws_ahead(self):
-            records, what = records + 1, "(min(jobs, replicates) + 1 drawn ahead)"
-        cells = self.p * self.n * records + self.p * self.replicates
+        lanes = _lanes(self)
+        what = "min(jobs, replicates)" if lanes == self.jobs else f"min({lanes} lanes, replicates)"
+        cells = self.p * self.n * min(lanes, self.replicates) + self.p * self.replicates
         if cells > _MAX_CELLS:
             raise ValueError(
                 f"p*n*{what} + p*replicates = {cells} exceeds the memory "
@@ -247,7 +250,7 @@ def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
 
 
 def _records(config: EnsembleConfig, replicate: int, kernels=None):
-    """The records `_one_replicate` reads, each drawn or filtered when it is
+    """The records `_one_unit` reads, each drawn or filtered when it is
     asked for; a generator keeps no record it has yielded."""
     spec = config.replicate_spec(replicate)
     if kernels is None:
@@ -256,40 +259,57 @@ def _records(config: EnsembleConfig, replicate: int, kernels=None):
         yield from filtered_records(spec, config.shape.cells, kernels)
 
 
-def _one_replicate(config: EnsembleConfig, replicate: int, kernels=None, records=None) -> list:
-    """(eigenvalues, trace statistic) of one replicate of the config's model,
-    or, given `kernels`, of each kernel's record from one draw of the
-    config's stream (see `filtered_records`).  None stands in for a record
-    whose eigensolve failed, which is logged.  `records` are the replicate's
-    `_records`, drawn here by default.
+def _one_unit(config: EnsembleConfig, replicates, kernels=None, paired: bool = False) -> list:
+    """(eigenvalues, trace statistic) of each record of `replicates` in turn:
+    the config's model's, or, given `kernels`, each kernel's from one draw of
+    the replicate's stream (see `filtered_records`).  None stands in for a
+    record whose eigensolve failed, which is logged.
 
-    Each Gram is formed and eigensolved before the next record is filtered.
-    The config's own record is then squared in place for the trace statistic
-    and released before the eigensolve, so the replicate holds one record
-    and one Gram.  The records of `kernels` share their draws, which the
-    squaring would overwrite, so they take no trace statistic (None); the
-    replicate holds the draws, one Gram and one filter block.
+    Each record's Gram is formed before the next record is filtered; the
+    config's own record is then squared in place for the trace statistic and
+    released.  The records of `kernels` share their draws, which the squaring
+    would overwrite, so they take no trace statistic (None).  Each Gram is
+    eigensolved before the next record is read, or, `paired`, all of them at
+    the end in one stacked call, their only copy.
     """
     p, n = config.p, config.n
+    grams, owners, stats, solved = [], [], [], []
+    for r in replicates:
+        for record in _records(config, r, kernels):
+            x = segment_matrix(record, config.shape)
+            # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
+            grams.append(gram(x) if p <= n else gram(x.T))
+            owners.append(r)
+            stats.append(_sum_of_squares(x) / (p * p) if kernels is None else None)
+            del x, record
+            if not paired:
+                solved += _eigensolved(grams)
+    if grams:  # once the last record's draws are released
+        solved += _eigensolved(grams)
     out = []
-    for record in _records(config, replicate, kernels) if records is None else records:
-        x = segment_matrix(record, config.shape)
-        # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
-        g = gram(x) if p <= n else gram(x.T)
-        trace_stat = _sum_of_squares(x) / (p * p) if kernels is None else None
-        del x, record
-        try:
-            evs = sym_eigenvalues(g).eigenvalues
-        except EigensolverError as exc:
-            log.warning("replicate %d failed: %s", replicate, exc)
+    for r, stat, spectrum in zip(owners, stats, solved):
+        if isinstance(spectrum, ValueError):  # raised, as by a Gram eigensolved alone
+            raise spectrum
+        if isinstance(spectrum, EigensolverError):
+            log.warning("replicate %d failed: %s", r, spectrum)
             out.append(None)
-            continue
-        finally:
-            del g
-        if p > n:
-            evs = np.concatenate([np.zeros(p - n), evs * (n / p)])
-        out.append((evs, trace_stat))
+        else:
+            evs = spectrum.eigenvalues
+            out.append((evs if p <= n else np.concatenate([np.zeros(p - n), evs * (n / p)]), stat))
     return out
+
+
+def _eigensolved(grams: list) -> list:
+    """Per Gram taken off `grams`, its spectrum or the error its eigensolve
+    raised: one Gram is eigensolved as it is, more as one stack."""
+    if len(grams) > 1:
+        stack = np.stack(grams)
+        grams.clear()
+        return sym_eigenvalues(stack)
+    try:
+        return [sym_eigenvalues(grams.pop())]
+    except EigensolverError as exc:
+        return [exc]
 
 
 def _sum_of_squares(record: np.ndarray) -> float:
@@ -332,44 +352,33 @@ def _one_blas_thread():
         set_threads(threads)
 
 
-def _draws_ahead(config: EnsembleConfig) -> bool:
-    """Whether `_replicates` runs `_drawn_ahead`."""
-    return config.jobs == 1 and config.replicates > 1 and config.shape.cells <= _SMALL_RECORD
+def _lanes(config: EnsembleConfig) -> int:
+    """The lanes `_replicates` runs on: `jobs`, and two or more if small."""
+    return max(config.jobs, 2) if config.shape.cells <= _SMALL_RECORD else config.jobs
 
 
 def _replicates(config: EnsembleConfig, kernels=None) -> list:
-    """`_one_replicate` of every replicate, in replicate order.  Replicates
-    may run on `config.jobs` threads; the order of the results is theirs.
-    A small ensemble (`_SMALL_RECORD`) runs at one BLAS thread and, at one
-    job, draws its records ahead (`_drawn_ahead`)."""
-    def work(r: int) -> list:
-        return _one_replicate(config, r, kernels)
-
+    """`_one_unit` results of every record, in replicate order, with unit i
+    on lane i % lanes: lane 0 is the calling thread, each other a helper
+    thread.  A small ensemble (`_SMALL_RECORD`) runs at one BLAS thread, and
+    where its Gram side exceeds `_PAIR_SIDE` a unit pairs two Grams: two
+    consecutive replicates, or, given `kernels`, one replicate's two records."""
     small = config.shape.cells <= _SMALL_RECORD
-    with _one_blas_thread() if small else contextlib.nullcontext():
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                return list(pool.map(work, range(config.replicates)))
-        if _draws_ahead(config):
-            return _drawn_ahead(config, kernels)
-        return [work(r) for r in range(config.replicates)]
+    paired = small and min(config.p, config.n) > _PAIR_SIDE
+    step = 2 if paired and kernels is None else 1
+    units = [range(r, min(r + step, config.replicates)) for r in range(0, config.replicates, step)]
+    lanes, done = min(_lanes(config), len(units)), [None] * len(units)
 
+    def lane(k: int) -> None:
+        for i in range(k, len(units), lanes):
+            done[i] = _one_unit(config, units[i], kernels, paired)
 
-def _drawn_ahead(config: EnsembleConfig, kernels=None) -> list:
-    """`_one_replicate` of every replicate, in replicate order, with each
-    replicate's first record drawn on a helper thread while the replicate
-    before it is eigensolved, so two records are alive at a time."""
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def records(r: int):
-            rest = _records(config, r, kernels)
-            drawn = [helper.submit(next, rest)]  # popped, so nothing here keeps the record
-            return itertools.chain((drawn.pop().result() for _ in range(1)), rest)
-
-        out, ahead = [], records(0)
-        for r in range(config.replicates):
-            current, ahead = ahead, records(r + 1) if r + 1 < config.replicates else None
-            out.append(_one_replicate(config, r, kernels, current))
-        return out
+    with _one_blas_thread() if small else contextlib.nullcontext(), \
+            ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
+        helpers = pool.map(lane, range(1, lanes))
+        lane(0)
+        list(helpers)
+    return [result for unit in done for result in unit]
 
 
 def _distance_tables(eigenvalues: np.ndarray, candidates: dict) -> tuple[dict, dict]:
@@ -391,11 +400,11 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
     """
     if candidates is None:
         candidates = _scored_cdfs(config)
-    return _report(config, (result for [result] in _replicates(config)), candidates)
+    return _report(config, _replicates(config), candidates)
 
 
 def _report(config: EnsembleConfig, results, candidates: dict) -> EnsembleReport:
-    """The report of the ensemble on `config` from the `_one_replicate`
+    """The report of the ensemble on `config` from the `_one_unit`
     result of each replicate, in replicate order: a failed replicate is
     recorded, and every other is compared against `candidates`, alone and
     pooled.  Raises EigensolverError when every replicate failed."""
@@ -532,8 +541,8 @@ def calibrate_equation_variant(
     candidates = {label: lsd_cdf(law) for label, law in laws.items()}
     in_range = {label: law_range_violation(law) is None for label, law in laws.items()}
 
-    white, confirm = (_report(config, results, {}) for config, results
-                      in zip((base_config, confirm_config), zip(*_replicates(base_config, kernels))))
+    shared = _replicates(base_config, kernels)  # each replicate's white and MA(0.5) records in turn
+    white, confirm = (_report(config, shared[k::2], {}) for k, config in enumerate((base_config, confirm_config)))
     # one report per seed, each simulated only once the seed before is decided
     reports = itertools.chain([white], (run_ensemble(replace(base_config, base_seed=seed), {})
                                         for seed in base_seeds[1:]))
