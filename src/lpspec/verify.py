@@ -24,10 +24,10 @@ An ensemble whose record has at most `_SMALL_RECORD` cells runs its Grams
 and eigensolves at one thread of numpy's bundled OpenBLAS, whatever `jobs`
 is, so its bytes are those of a one-thread run on every machine.  It runs
 on `jobs` lanes, and on two at one job: a lane is a thread, the calling one
-among them, working through units of replicates.  Where the Gram side
-exceeds `_PAIR_SIDE`, a unit eigensolves two Grams in one stacked call,
-which numpy makes without the GIL, so the lanes overlap.  Larger ensembles
-run at the thread count the process has, on `jobs` lanes.
+among them, and lane k of L takes replicates k, k + L, k + 2L, ...  It
+eigensolves its Grams two at a time in one stacked call, which numpy makes
+without the GIL, so the lanes overlap.  Larger ensembles run at the thread
+count the process has, on `jobs` lanes, and eigensolve each Gram alone.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ _MAX_CELLS = 1 << 25
 # second thread drawing records was 9-20% faster at 2**16 and 2**17 cells, even
 # at 2**18 (512 x 512), mixed at 2**19 and 25% slower at 2048 x 1024 (2**21)
 _SMALL_RECORD = 1 << 18
-# numpy's eigvalsh releases the GIL only where stack count * side > 500
-_PAIR_SIDE = 250
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
 
@@ -250,7 +248,7 @@ def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
 
 
 def _records(config: EnsembleConfig, replicate: int, kernels=None):
-    """The records `_one_unit` reads, each drawn or filtered when it is
+    """The records `_one_lane` reads, each drawn or filtered when it is
     asked for; a generator keeps no record it has yielded."""
     spec = config.replicate_spec(replicate)
     if kernels is None:
@@ -259,7 +257,7 @@ def _records(config: EnsembleConfig, replicate: int, kernels=None):
         yield from filtered_records(spec, config.shape.cells, kernels)
 
 
-def _one_unit(config: EnsembleConfig, replicates, kernels=None, paired: bool = False) -> list:
+def _one_lane(config: EnsembleConfig, replicates, kernels=None, paired: bool = False) -> list:
     """(eigenvalues, trace statistic) of each record of `replicates` in turn:
     the config's model's, or, given `kernels`, each kernel's from one draw of
     the replicate's stream (see `filtered_records`).  None stands in for a
@@ -269,25 +267,43 @@ def _one_unit(config: EnsembleConfig, replicates, kernels=None, paired: bool = F
     config's own record is then squared in place for the trace statistic and
     released.  The records of `kernels` share their draws, which the squaring
     would overwrite, so they take no trace statistic (None).  Each Gram is
-    eigensolved before the next record is read, or, `paired`, all of them at
-    the end in one stacked call, their only copy.
+    eigensolved before the next record is read, or, `paired`, two or more at
+    a time once a replicate's draws are released, and a last one alone.
     """
-    p, n = config.p, config.n
-    grams, owners, stats, solved = [], [], [], []
+    pending, out = [], []  # (Gram, replicate, trace statistic) not yet eigensolved
     for r in replicates:
         for record in _records(config, r, kernels):
             x = segment_matrix(record, config.shape)
             # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
-            grams.append(gram(x) if p <= n else gram(x.T))
-            owners.append(r)
-            stats.append(_sum_of_squares(x) / (p * p) if kernels is None else None)
-            del x, record
+            g = gram(x) if config.p <= config.n else gram(x.T)
+            pending.append((g, r, _sum_of_squares(x) / config.p ** 2 if kernels is None else None))
+            del g, x, record
             if not paired:
-                solved += _eigensolved(grams)
-    if grams:  # once the last record's draws are released
-        solved += _eigensolved(grams)
+                out += _eigensolved(config, pending)
+        if len(pending) > 1:
+            out += _eigensolved(config, pending)
+    if pending:
+        out += _eigensolved(config, pending)
+    return out
+
+
+def _eigensolved(config: EnsembleConfig, pending: list) -> list:
+    """`_one_lane` results of the (Gram, replicate, trace statistic) taken off
+    `pending`: one Gram is eigensolved as it is, more as one stack, their only copy."""
+    grams, owners, stats = zip(*pending)
+    pending.clear()
+    if len(grams) > 1:
+        stack = np.stack(grams)
+        del grams
+        spectra = sym_eigenvalues(stack)
+    else:
+        try:
+            spectra = [sym_eigenvalues(grams[0])]
+        except EigensolverError as exc:
+            spectra = [exc]
+    p, n = config.p, config.n
     out = []
-    for r, stat, spectrum in zip(owners, stats, solved):
+    for r, stat, spectrum in zip(owners, stats, spectra):
         if isinstance(spectrum, ValueError):  # raised, as by a Gram eigensolved alone
             raise spectrum
         if isinstance(spectrum, EigensolverError):
@@ -297,19 +313,6 @@ def _one_unit(config: EnsembleConfig, replicates, kernels=None, paired: bool = F
             evs = spectrum.eigenvalues
             out.append((evs if p <= n else np.concatenate([np.zeros(p - n), evs * (n / p)]), stat))
     return out
-
-
-def _eigensolved(grams: list) -> list:
-    """Per Gram taken off `grams`, its spectrum or the error its eigensolve
-    raised: one Gram is eigensolved as it is, more as one stack."""
-    if len(grams) > 1:
-        stack = np.stack(grams)
-        grams.clear()
-        return sym_eigenvalues(stack)
-    try:
-        return [sym_eigenvalues(grams.pop())]
-    except EigensolverError as exc:
-        return [exc]
 
 
 def _sum_of_squares(record: np.ndarray) -> float:
@@ -358,27 +361,23 @@ def _lanes(config: EnsembleConfig) -> int:
 
 
 def _replicates(config: EnsembleConfig, kernels=None) -> list:
-    """`_one_unit` results of every record, in replicate order, with unit i
-    on lane i % lanes: lane 0 is the calling thread, each other a helper
-    thread.  A small ensemble (`_SMALL_RECORD`) runs at one BLAS thread, and
-    where its Gram side exceeds `_PAIR_SIDE` a unit pairs two Grams: two
-    consecutive replicates, or, given `kernels`, one replicate's two records."""
+    """`_one_lane` results of every record, in replicate order, with lane k
+    of L taking replicates k, k + L, ...: lane 0 is the calling thread, each
+    other a helper thread.  A small ensemble (`_SMALL_RECORD`) runs at one
+    BLAS thread and pairs its Grams: two of a lane's replicates, or, given
+    `kernels`, one replicate's two records."""
     small = config.shape.cells <= _SMALL_RECORD
-    paired = small and min(config.p, config.n) > _PAIR_SIDE
-    step = 2 if paired and kernels is None else 1
-    units = [range(r, min(r + step, config.replicates)) for r in range(0, config.replicates, step)]
-    lanes, done = min(_lanes(config), len(units)), [None] * len(units)
+    lanes = min(_lanes(config), config.replicates)
 
-    def lane(k: int) -> None:
-        for i in range(k, len(units), lanes):
-            done[i] = _one_unit(config, units[i], kernels, paired)
+    def lane(k: int) -> list:
+        return _one_lane(config, range(k, config.replicates, lanes), kernels, small)
 
     with _one_blas_thread() if small else contextlib.nullcontext(), \
             ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
         helpers = pool.map(lane, range(1, lanes))
-        lane(0)
-        list(helpers)
-    return [result for unit in done for result in unit]
+        done = [lane(0), *helpers]
+    per = 1 if kernels is None else len(kernels)  # records per replicate
+    return [done[r % lanes][r // lanes * per + i] for r in range(config.replicates) for i in range(per)]
 
 
 def _distance_tables(eigenvalues: np.ndarray, candidates: dict) -> tuple[dict, dict]:
@@ -404,7 +403,7 @@ def run_ensemble(config: EnsembleConfig, candidates: dict | None = None) -> Ense
 
 
 def _report(config: EnsembleConfig, results, candidates: dict) -> EnsembleReport:
-    """The report of the ensemble on `config` from the `_one_unit`
+    """The report of the ensemble on `config` from the `_one_lane`
     result of each replicate, in replicate order: a failed replicate is
     recorded, and every other is compared against `candidates`, alone and
     pooled.  Raises EigensolverError when every replicate failed."""

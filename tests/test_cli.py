@@ -1027,7 +1027,7 @@ def test_ensemble_law_outside_unit_interval_exits_3_before_any_replicate(
     # raw-yinv-companion of MA(0.5) at y = 2 reads an atom of -1, as `solve` refuses
     from lpspec import verify
 
-    monkeypatch.setattr(verify, "_one_unit", lambda *args: pytest.fail("simulated a replicate"))
+    monkeypatch.setattr(verify, "_one_lane", lambda *args: pytest.fail("simulated a replicate"))
     doc = {"command": command, "model": {"kind": "ma", "theta": [0.5]},
            "variant": "raw-yinv-companion", "replicates": 2,
            **({"p": 64, "n": 32} if command == "compare" else {"y": 2.0, "sizes": [16, 32]})}

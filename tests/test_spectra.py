@@ -136,7 +136,7 @@ class TestStackedEigenvalues:
         return [(type(out), str(out)) if isinstance(out, Exception) else out.eigenvalues.tobytes()
                 for out in sym_eigenvalues(np.stack(matrices))]
 
-    @pytest.mark.parametrize("m", [251, 256, 500])
+    @pytest.mark.parametrize("m", [64, 128, 250, 251, 256, 500])
     def test_stack_gives_the_bits_of_each_matrix_alone(self, m):
         grams = self.grams(m)
         assert self.stacked(grams) == [self.alone(g) for g in grams]
