@@ -5,8 +5,7 @@ described by a JSON config file and/or flags (flags win, with a logged
 notice).  Each command accepts only the keys it reads (`_KEYS`), so the
 manifest.json every run writes echoes only settings that took effect, plus
 tool versions and numpy's BLAS with its thread count at run start, which
-large ensembles run at (at a Gram side of 256 or more the eigenvalue bits
-depend on it; ensembles of small records run at one thread, see `verify`);
+changes no output byte (every ensemble runs at one thread, see `verify`);
 the manifest's "timestamp" field is the only output that may differ between
 identical runs.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import ProcessSpec, autocovariance, draw_innovations, filtered_records
+from .spectra import _openblas
 
 __all__ = [
     "MatrixShape",
@@ -124,17 +125,37 @@ def autocovariance_matrix(coeffs, m: int) -> np.ndarray:
     return gam[idx]
 
 
-def gram(matrix) -> np.ndarray:
+def gram(matrix, out: np.ndarray | None = None) -> np.ndarray:
     """Row-normalized Gram matrix M M^T / p, where p is the row count.
 
-    The product is divided by p in place, so the Gram is the only array made."""
+    The product is divided by p in place, so the Gram is the only array made.
+    Given `out`, a zeroed C-ordered float64 array, M M^T is added to its upper
+    triangle instead, as numpy's syrk forms it, to be completed by `_symmetrized`."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("gram expects a 2-d matrix")
-    # numpy forms m @ m.T with syrk and mirrors the triangle: exactly symmetric
-    product = m @ m.T
-    product /= m.shape[0]
-    return product
+    if out is None:
+        # numpy forms m @ m.T with syrk and mirrors the triangle: exactly symmetric
+        product = m @ m.T
+        product /= m.shape[0]
+        return product
+    lib, a = _openblas(), np.asfortranarray(m)  # the transpose of a C-ordered block is a view
+    if lib is None:
+        out += a @ a.T
+    else:  # row-major, upper, transposed: out += (a^T)^T a^T, with beta = 1
+        lib.scipy_cblas_dsyrk64_(101, 121, 112, len(m), m.shape[1], 1.0, a.ctypes.data, len(m), 1.0,
+                                 out.ctypes.data, len(m))
+    return out
+
+
+def _symmetrized(out: np.ndarray, rows: int) -> np.ndarray:
+    """The Gram `gram(..., out=out)` added up for `rows` rows, in place: the
+    upper triangle mirrored and divided by `rows`; for one block, `gram`'s bits."""
+    for j in range(0, len(out), 64):  # strictly below the diagonal of each 64-column strip
+        below = np.tri(len(out) - j, min(64, len(out) - j), -1, dtype=bool)
+        np.copyto(out[j:, j:j + 64], out[j:j + 64, j:].T, where=below)
+    out /= rows
+    return out
 
 
 def subdiagonal_shift(m: int) -> np.ndarray:

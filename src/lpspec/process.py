@@ -362,9 +362,10 @@ class InnovationSpec:
         return _SIGMA4[self.distribution]
 
 
-def draw_innovations(spec: InnovationSpec, count: int) -> np.ndarray:
-    """Deterministic innovation stream of the given length."""
-    rng = np.random.default_rng(int(spec.seed))
+def draw_innovations(spec: InnovationSpec, count: int, rng=None) -> np.ndarray:
+    """Deterministic innovation stream of the given length or, given the
+    stream's generator `rng`, its next `count` draws (the same bits)."""
+    rng = np.random.default_rng(int(spec.seed)) if rng is None else rng
     if spec.distribution == "gaussian":
         return rng.standard_normal(count)
     if spec.distribution == "rademacher":
@@ -385,55 +386,57 @@ class ProcessSpec:
     innovations: InnovationSpec
     horizon: int
     tail_tol: float = 1e-12
+    _kernel: np.ndarray = field(init=False, repr=False, compare=False)  # c_0..c_K, built once
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError("tail_tol must lie in (0, 1)")
-        if not _covers(self.model, self.horizon, self.tail_tol):
-            order, label = self.model.finite_order, self.model.label()
+        order, label = self.model.finite_order, self.model.label()
+        c = coefficients(self.model, (self.horizon if order is None else order) + 1)
+        if not _covers(self.model, self.horizon, self.tail_tol, c):
             if order is not None:
                 raise ValueError(f"horizon {self.horizon} is below the order {order} of {label}")
             raise ValueError(f"tail energy past horizon {self.horizon} exceeds tail_tol "
                              f"{self.tail_tol:g} of the total for {label}")
+        object.__setattr__(self, "_kernel", c)
 
     def coefficient_array(self) -> np.ndarray:
-        """Fresh c_0..c_K, the record's kernel: K is the model's finite order, else J."""
-        order = self.model.finite_order
-        return coefficients(self.model, (self.horizon if order is None else order) + 1)
+        """A fresh copy of c_0..c_K, the record's kernel: K is the model's finite order, else J."""
+        return self._kernel.copy()
 
 
-def simulate_record(spec: ProcessSpec, length: int) -> np.ndarray:
+def simulate_record(spec: ProcessSpec, length: int, block: int | None = None):
     """Simulate X_1..X_length with X_t = sum_{j=0}^{J} c_j Z_{t-j}.
 
     Draws the J + length innovations (indices 1-J .. length) and filters
     them by the spec's coefficients, through `filtered_records`; the result
-    is bit-reproducible given (seed, horizon, distribution).  Up to
-    `_DIRECT_TAPS` taps the record is a view into its J + length innovation
-    buffer.  A Rademacher draw still holds an int64 and a float64 copy of
-    the stream while it draws.
+    is bit-reproducible given (seed, horizon, distribution).  Given `block`,
+    returns instead an iterator over the record's pieces of `block` samples.
     """
-    return next(filtered_records(spec, length, (spec.coefficient_array(),)))
+    records = filtered_records(spec, length, (spec.coefficient_array(),), block)
+    return records if block is not None else next(records)
 
 
-def filtered_records(spec: ProcessSpec, length: int, kernels):
+def filtered_records(spec: ProcessSpec, length: int, kernels, block: int | None = None):
     """X_1..X_length filtered by each of `kernels` in turn, from one draw of
     the J + length innovations of the spec's stream (the spec's own
-    coefficients are not read).  Read each record before asking for the next.
+    coefficients are not read), in pieces of `block` samples (default: all),
+    each kernel's piece in turn.  Pieces are drawn and filtered as they are
+    asked for, so read each before asking for the next; they concatenate to
+    the whole records bit for bit.
 
     Trailing zero coefficients are trimmed, and the K taps left must satisfy
     J >= K - 1, so that every kept output overlaps the kernel fully.  The
     unit kernel (white noise) leaves the draws as they are: its record is
     the draws themselves, which is what ``np.convolve`` writes.  Other
     kernels may overwrite the draws, so every kernel but the last must be
-    the unit kernel.  Kernels of up to `_DIRECT_TAPS` taps filter the draws
-    in place, from back to front one `_BLOCK` at a time: a block overwrites
-    only draws that no block still to come reads, and each output is the dot
-    product that ``np.convolve(draws, kernel)`` takes.  The record is then a
-    view into the innovation buffer.  Longer kernels go through an FFT
-    product at a power-of-two length, which moves the record at rounding
-    level; the draws are released before the inverse transform.
+    the unit kernel.  Kernels of up to `_DIRECT_TAPS` taps filter a piece's
+    draws, after the K - 1 before it, in place from back to front one
+    `_BLOCK` at a time, each output the dot product ``np.convolve`` takes.
+    Longer kernels yield whole records, each an FFT product at a power-of-two
+    length, which moves it at rounding level.
     """
     j = spec.horizon
     if length < 1:
@@ -452,22 +455,31 @@ def filtered_records(spec: ProcessSpec, length: int, kernels):
     unit = [k.size == 1 and k[0] == 1.0 for k in trimmed]
     if not all(unit[:-1]):
         raise ValueError("only the unit kernel leaves the draws to the kernel after it")
-    draws = draw_innovations(spec.innovations, j + length)
-    for _ in trimmed[:-1]:
-        yield draws[j:]
     kernel, taps = trimmed[-1], trimmed[-1].size
-    if taps <= _DIRECT_TAPS:
+    rng = np.random.default_rng(int(spec.innovations.seed))
+    block = length if block is None or taps > _DIRECT_TAPS else block
+    for first in range(0, length, block):
+        size = min(block, length - first)
+        draws = draw_innovations(spec.innovations, size if first else j + size, rng)
+        if first:
+            draws = np.concatenate([carry, draws])
+        start = draws.size - size
+        for _ in trimmed[:-1]:
+            yield draws[start:]
+        if taps > _DIRECT_TAPS:  # one piece; the draws are released before the inverse transform
+            fft = 1 << (draws.size + taps - 2).bit_length()
+            spectrum = np.fft.rfft(draws, fft)
+            del draws
+            spectrum *= np.fft.rfft(kernel, fft)
+            yield np.fft.irfft(spectrum, fft)[j : j + length]
+            return
+        carry = draws[draws.size - (taps - 1):].copy()  # the inputs the next piece reads first
         if not unit[-1]:
-            for end in range(j + length, j, -_BLOCK):
-                start = max(j, end - _BLOCK)
-                draws[start:end] = np.convolve(draws[start - (taps - 1) : end], kernel, "valid")
-        yield draws[j:]
-        return
-    size = 1 << (draws.size + taps - 2).bit_length()
-    spectrum = np.fft.rfft(draws, size)
-    del draws
-    spectrum *= np.fft.rfft(kernel, size)
-    yield np.fft.irfft(spectrum, size)[j : j + length]
+            for end in range(draws.size, start, -_BLOCK):
+                begin = max(start, end - _BLOCK)
+                draws[begin:end] = np.convolve(draws[begin - (taps - 1) : end], kernel, "valid")
+        yield draws[start:]
+        del draws  # before the next piece is drawn
 
 
 class SpectralDensity:

@@ -10,7 +10,10 @@ function of its two CDFs: the module keeps no state between calls.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -50,39 +53,21 @@ class EmpiricalSpectrum:
         return EmpiricalCdf(self.eigenvalues)
 
 
-def sym_eigenvalues(matrix):
+def sym_eigenvalues(matrix, *, overwrite: bool = False) -> EmpiricalSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
     Rejects non-symmetric input (relative tolerance 1e-10).  Eigenvalues off
     the trace identity, as from a failed factorization or a non-finite
     diagonal or lower triangle (NaN ones), raise EigensolverError.
 
-    A (k, m, m) stack is eigensolved in one `eigvalsh` call, with the bits
-    of k calls; numpy releases the GIL for it where k * m > 500.  Its result
-    lists, per matrix, the EmpiricalSpectrum or the error that matrix alone
-    raises.
+    With `overwrite` the caller hands its matrix over, as an ensemble does a
+    Gram: numpy's OpenBLAS runs dsyevd in place on its upper triangle (of a
+    writeable C-ordered copy if need be) without the GIL, with `eigvalsh`'s
+    bits at one BLAS thread.  By default, or without it, `eigvalsh` solves.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
-    if m.ndim == 2:
-        return _spectrum(m)
-    try:
-        evs = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError:  # solved alone, each matrix says whether it failed
-        evs = [None] * len(m)
-    out = []
-    for one, ev in zip(m, evs):
-        try:
-            out.append(_spectrum(one, ev))
-        except (ValueError, EigensolverError) as exc:
-            out.append(exc)
-    return out
-
-
-def _spectrum(m: np.ndarray, ev=None) -> EmpiricalSpectrum:
-    """`sym_eigenvalues` of the square matrix `m`, whose eigenvalues `ev` are
-    taken here unless given."""
+    m = np.require(matrix, float, "CAW") if overwrite else np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
     asym, rows = 0.0, max(1, 2**14 // max(len(m), 1))  # a block of differences is at most 128 KB
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which the trace check refuses
         for i in range(0, len(m), rows):  # max |M - M^T| on the upper triangle; a NaN propagates
@@ -91,16 +76,44 @@ def _spectrum(m: np.ndarray, ev=None) -> EmpiricalSpectrum:
         trace = float(np.trace(m))
     if asym and asym > _SYMMETRY_TOL * max(1.0, float(m.max()), -float(m.min())):
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    if ev is None:
+    lib = _openblas() if overwrite else None
+    if lib is None:
         try:
             ev = np.linalg.eigvalsh(m)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigvalsh failed on {m.shape[0]}x{m.shape[1]} matrix: {exc}")
+    else:  # column-major 'L' is the row-major upper triangle
+        ev = np.empty(len(m))
+        info = lib.scipy_LAPACKE_dsyevd64_(102, b"N", b"L", len(m), m.ctypes.data, len(m), ev.ctypes.data)
+        if info:
+            raise EigensolverError(f"dsyevd failed on {len(m)}x{len(m)} matrix: info {info}")
     if not abs(float(np.sum(ev)) - trace) <= _TRACE_TOL * max(1.0, abs(trace)):  # or a NaN
-        raise EigensolverError(
-            f"eigenvalue sum {np.sum(ev):.12g} violates trace {trace:.12g}"
-        )
+        raise EigensolverError(f"eigenvalue sum {np.sum(ev):.12g} violates trace {trace:.12g}")
     return EmpiricalSpectrum(ev)
+
+
+# numpy's bundled OpenBLAS entries: name -> (result type, argument types)
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+_ENTRIES = {
+    "scipy_openblas_get_num_threads64_": (ctypes.c_int, []),
+    "scipy_openblas_set_num_threads64_": (None, [ctypes.c_int]),
+    "scipy_LAPACKE_dsyevd64_": (_I64, [ctypes.c_int, ctypes.c_char, ctypes.c_char, _I64, _PTR, _I64, _PTR]),
+    "scipy_cblas_dsyrk64_": (None, [ctypes.c_int] * 3 + [_I64, _I64, ctypes.c_double, _PTR, _I64,
+                                                          ctypes.c_double, _PTR, _I64]),
+}
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded once per process: the library under
+    numpy.libs with every entry of `_ENTRIES`, typed, or None."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if all(hasattr(lib, name) for name in _ENTRIES):
+            for name, (restype, argtypes) in _ENTRIES.items():
+                getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes
+            return lib
+    return None
 
 
 def empirical_stieltjes(spectrum: EmpiricalSpectrum, z: complex) -> complex:

@@ -20,26 +20,22 @@ them but the last is white noise, whose record is the draws themselves:
 calibration filters its MA(0.5) confirmation from the first seed's
 white-noise draws.
 
-An ensemble whose record has at most `_SMALL_RECORD` cells runs its Grams
-and eigensolves at one thread of numpy's bundled OpenBLAS, whatever `jobs`
-is, so its bytes are those of a one-thread run on every machine.  It runs
-on `jobs` lanes, and on two at one job: a lane is a thread, the calling one
-among them, and lane k of L takes replicates k, k + L, k + 2L, ...  It
-eigensolves its Grams two at a time in one stacked call, which numpy makes
-without the GIL, so the lanes overlap.  Larger ensembles run at the thread
-count the process has, on `jobs` lanes, and eigensolve each Gram alone.
+Every ensemble runs its Grams and eigensolves at one thread of numpy's
+bundled OpenBLAS, so its bytes are those of a one-thread run on every
+machine, on max(jobs, 2) lanes, or `jobs` where two records do not fit the
+memory budget.  A lane is a thread, the calling one among them; lane k of L
+takes replicates k, k + L, k + 2L, ... and eigensolves each Gram in place
+without the GIL, so the lanes overlap.  At p > n it holds no whole record:
+it adds the record's rows, a block at a time, into the n x n Gram.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -54,8 +50,9 @@ from .lsd import (
     lsd_cdf,
     solve_lsd,
 )
-from .matrices import MatrixShape, gram, segment_matrix
+from .matrices import MatrixShape, _symmetrized, gram, segment_matrix
 from .process import (
+    _BLOCK,
     CoefficientModel,
     InnovationSpec,
     ProcessSpec,
@@ -69,6 +66,7 @@ from .spectra import (
     EigensolverError,
     EmpiricalCdf,
     EmpiricalSpectrum,
+    _openblas,
     ks_distance,
     sym_eigenvalues,
     wasserstein1,
@@ -96,11 +94,6 @@ _MASK64 = (1 << 64) - 1
 # replicate in flight, min(lanes, replicates) of them (`_lanes`), and p
 # eigenvalues per replicate
 _MAX_CELLS = 1 << 25
-# records of at most this many cells (2 MB) eigensolve at one BLAS thread, on
-# two lanes at jobs 1.  On 2 cores, against serial runs at two BLAS threads, a
-# second thread drawing records was 9-20% faster at 2**16 and 2**17 cells, even
-# at 2**18 (512 x 512), mixed at 2**19 and 25% slower at 2048 x 1024 (2**21)
-_SMALL_RECORD = 1 << 18
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
 
@@ -151,14 +144,10 @@ class EnsembleConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        lanes = _lanes(self)
-        what = "min(jobs, replicates)" if lanes == self.jobs else f"min({lanes} lanes, replicates)"
-        cells = self.p * self.n * min(lanes, self.replicates) + self.p * self.replicates
+        cells = self.p * self.n * min(_lanes(self), self.replicates) + self.p * self.replicates
         if cells > _MAX_CELLS:
-            raise ValueError(
-                f"p*n*{what} + p*replicates = {cells} exceeds the memory "
-                f"budget of {_MAX_CELLS} cells"
-            )
+            raise ValueError(f"p*n*min(jobs, replicates) + p*replicates = {cells} exceeds the "
+                             f"memory budget of {_MAX_CELLS} cells")
         object.__setattr__(self, "_horizon", self.horizon if self.horizon is not None
                            else default_horizon(self.model, self.n, self.tail_tol))
 
@@ -247,71 +236,56 @@ def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     return {label: lsd_cdf(law) for label, law in laws.items()}
 
 
-def _records(config: EnsembleConfig, replicate: int, kernels=None):
-    """The records `_one_lane` reads, each drawn or filtered when it is
-    asked for; a generator keeps no record it has yielded."""
-    spec = config.replicate_spec(replicate)
+def _pieces(config: EnsembleConfig, replicate: int, kernels=None):
+    """The records of `replicate`, the model's or each of `kernels`', whole at
+    p <= n and else in pieces of max(1, `_BLOCK` // n) rows (`filtered_records`)."""
+    spec, cells = config.replicate_spec(replicate), config.shape.cells
+    block = cells if config.p <= config.n else max(1, _BLOCK // config.n) * config.n
     if kernels is None:
-        yield simulate_record(spec, config.shape.cells)
-    else:
-        yield from filtered_records(spec, config.shape.cells, kernels)
+        return simulate_record(spec, cells, block)
+    return filtered_records(spec, cells, kernels, block)
 
 
-def _one_lane(config: EnsembleConfig, replicates, kernels=None, paired: bool = False) -> list:
-    """(eigenvalues, trace statistic) of each record of `replicates` in turn:
-    the config's model's, or, given `kernels`, each kernel's from one draw of
-    the replicate's stream (see `filtered_records`).  None stands in for a
-    record whose eigensolve failed, which is logged.
-
-    Each record's Gram is formed before the next record is filtered; the
-    config's own record is then squared in place for the trace statistic and
-    released.  The records of `kernels` share their draws, which the squaring
-    would overwrite, so they take no trace statistic (None).  Each Gram is
-    eigensolved before the next record is read, or, `paired`, two or more at
-    a time once a replicate's draws are released, and a last one alone.
-    """
-    pending, out = [], []  # (Gram, replicate, trace statistic) not yet eigensolved
-    for r in replicates:
-        for record in _records(config, r, kernels):
+def _grams(config: EnsembleConfig, replicate: int, kernels=None):
+    """(Gram, trace statistic) of each record of `replicate` in turn, each
+    Gram the caller's to overwrite.  At p > n, XX^T/p has the eigenvalues of
+    X^TX/p = gram(X^T) n/p and p - n exact zeros, and each record's pieces
+    add into its own n x n Gram.  The model's record is squared in place for
+    the trace statistic; the records of `kernels` share their draws, so they
+    take none (None)."""
+    p, n = config.p, config.n
+    if p <= n:
+        for record in _pieces(config, replicate, kernels):
             x = segment_matrix(record, config.shape)
-            # at p > n, XX^T/p has the eigenvalues of X^TX/p = gram(X^T) n/p and p - n exact zeros
-            g = gram(x) if config.p <= config.n else gram(x.T)
-            pending.append((g, r, _sum_of_squares(x) / config.p ** 2 if kernels is None else None))
-            del g, x, record
-            if not paired:
-                out += _eigensolved(config, pending)
-        if len(pending) > 1:
-            out += _eigensolved(config, pending)
-    if pending:
-        out += _eigensolved(config, pending)
-    return out
+            yield gram(x), _sum_of_squares(x) / p ** 2 if kernels is None else None
+        return
+    grams, squares = [np.zeros((n, n)) for _ in kernels or [None]], 0.0
+    slots = itertools.cycle(grams)  # each block's pieces come in kernel order
+    for piece in _pieces(config, replicate, kernels):
+        x = segment_matrix(piece, MatrixShape(piece.size // n, n))
+        gram(x.T, out=next(slots))
+        if kernels is None:
+            squares += _sum_of_squares(x)
+        del x, piece  # before the next piece is drawn
+    for g in grams:
+        yield _symmetrized(g, n), squares / p ** 2 if kernels is None else None
 
 
-def _eigensolved(config: EnsembleConfig, pending: list) -> list:
-    """`_one_lane` results of the (Gram, replicate, trace statistic) taken off
-    `pending`: one Gram is eigensolved as it is, more as one stack, their only copy."""
-    grams, owners, stats = zip(*pending)
-    pending.clear()
-    if len(grams) > 1:
-        stack = np.stack(grams)
-        del grams
-        spectra = sym_eigenvalues(stack)
-    else:
-        try:
-            spectra = [sym_eigenvalues(grams[0])]
-        except EigensolverError as exc:
-            spectra = [exc]
+def _one_lane(config: EnsembleConfig, replicates, kernels=None) -> list:
+    """(eigenvalues, trace statistic) of each record of `replicates` in turn
+    (`_grams`), each Gram eigensolved in place before the next is formed.
+    None stands in for a record whose eigensolve failed, which is logged."""
     p, n = config.p, config.n
     out = []
-    for r, stat, spectrum in zip(owners, stats, spectra):
-        if isinstance(spectrum, ValueError):  # raised, as by a Gram eigensolved alone
-            raise spectrum
-        if isinstance(spectrum, EigensolverError):
-            log.warning("replicate %d failed: %s", r, spectrum)
-            out.append(None)
-        else:
-            evs = spectrum.eigenvalues
-            out.append((evs if p <= n else np.concatenate([np.zeros(p - n), evs * (n / p)]), stat))
+    for r in replicates:
+        for g, stat in _grams(config, r, kernels):
+            try:
+                evs = sym_eigenvalues(g, overwrite=True).eigenvalues
+                out.append((evs if p <= n else np.concatenate([np.zeros(p - n), evs * (n / p)]), stat))
+            except EigensolverError as exc:
+                log.warning("replicate %d failed: %s", r, exc)
+                out.append(None)
+            del g  # before the next record's Gram is formed
     return out
 
 
@@ -320,60 +294,39 @@ def _sum_of_squares(record: np.ndarray) -> float:
     return float(np.sum(np.multiply(record, record, out=record)))
 
 
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS, loaded once per process: the library under
-    numpy.libs with the `scipy_openblas_get_num_threads64_` getter, or None.
-    The getter and the setter, where there is one, take and return C ints."""
-    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-                lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block at one OpenBLAS thread and restore the count after it,
-    also on an exception; where numpy's OpenBLAS has no setter, nothing is
-    pinned.  The count is process-wide."""
+    also on an exception; without numpy's OpenBLAS nothing is pinned.  The
+    count is process-wide."""
     lib = _openblas()
-    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if set_threads is None:
+    if lib is None:
         yield
         return
     threads = lib.scipy_openblas_get_num_threads64_()
-    set_threads(1)
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_threads(threads)
+        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def _lanes(config: EnsembleConfig) -> int:
-    """The lanes `_replicates` runs on: `jobs`, and two or more if small."""
-    return max(config.jobs, 2) if config.shape.cells <= _SMALL_RECORD else config.jobs
+    """The lanes `_replicates` runs on: `jobs`, or two at jobs 1 where two records fit `_MAX_CELLS`."""
+    two = config.p * config.n * min(2, config.replicates) + config.p * config.replicates
+    return 2 if config.jobs == 1 and two <= _MAX_CELLS else config.jobs
 
 
 def _replicates(config: EnsembleConfig, kernels=None) -> list:
-    """`_one_lane` results of every record, in replicate order, with lane k
-    of L taking replicates k, k + L, ...: lane 0 is the calling thread, each
-    other a helper thread.  A small ensemble (`_SMALL_RECORD`) runs at one
-    BLAS thread and pairs its Grams: two of a lane's replicates, or, given
-    `kernels`, one replicate's two records."""
-    small = config.shape.cells <= _SMALL_RECORD
+    """`_one_lane` results of every record, in replicate order, at one BLAS
+    thread, with lane k of L taking replicates k, k + L, ...: lane 0 is the
+    calling thread, each other a helper thread."""
     lanes = min(_lanes(config), config.replicates)
 
     def lane(k: int) -> list:
-        return _one_lane(config, range(k, config.replicates, lanes), kernels, small)
+        return _one_lane(config, range(k, config.replicates, lanes), kernels)
 
-    with _one_blas_thread() if small else contextlib.nullcontext(), \
-            ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
         helpers = pool.map(lane, range(1, lanes))
         done = [lane(0), *helpers]
     per = 1 if kernels is None else len(kernels)  # records per replicate
@@ -464,9 +417,9 @@ def trace_moment_check(
     """
     if report is not None:
         stats_ = list(report.trace_stats)
-    else:  # one record at a time, squared in place
-        stats_ = [_sum_of_squares(simulate_record(config.replicate_spec(r), config.shape.cells))
-                  / (config.p * config.p) for r in range(config.replicates)]
+    else:  # one record at a time, in the pieces an ensemble sums, squared in place
+        stats_ = [sum(map(_sum_of_squares, _pieces(config, r))) / config.p ** 2
+                  for r in range(config.replicates)]
     mean = float(np.mean(stats_))
     target = (config.n / config.p) * total_energy(config.model)
     rel = abs(mean - target) / abs(target)

@@ -608,9 +608,8 @@ SOLVE_DIGESTS = {
 }
 
 # SHA-256 of every file but manifest.json that one run of each ensemble
-# command writes; the runs are seeded, so at a fixed BLAS thread count they
-# pin every byte.  Every Gram side is at most 64, below the 192 up to which
-# the eigensolve's bits do not depend on that count either.  FARIMA(-0.2) at tail_tol 1e-6 has
+# command writes; the runs are seeded and every ensemble runs at one BLAS
+# thread, so they pin every byte.  FARIMA(-0.2) at tail_tol 1e-6 has
 # a 1183-tap kernel, so its records take the FFT filter path.
 ENSEMBLE_DIGESTS = {
     "compare-ma": ({"command": "compare", "model": {"kind": "ma", "theta": [0.5]}, "p": 48, "n": 64,
@@ -805,9 +804,9 @@ class TestCompareCommand:
         calls = []
         simulate = verify.simulate_record
 
-        def counting(spec, length):
+        def counting(spec, length, *block):
             calls.append(spec.innovations.seed)
-            return simulate(spec, length)
+            return simulate(spec, length, *block)
 
         monkeypatch.setattr(verify, "simulate_record", counting)
         out = tmp_path / "run"
@@ -843,8 +842,9 @@ class TestCompareCommand:
 
     def test_byte_identical_across_jobs_at_gram_side_256(self, tmp_path):
         # from a Gram side of 256 the eigenvalue bits depend on the BLAS thread
-        # count; a record of 2**17 cells is eigensolved at one thread whatever
-        # count the process has, so one digest holds at 1 and 2 threads and jobs
+        # count; every ensemble runs at one thread whatever count the process
+        # has, so one digest holds at 1 and 2 threads and jobs.  At p > n the
+        # record is streamed into the n x n Gram, two pieces of 256 rows here
         import hashlib
 
         from lpspec.verify import _openblas
@@ -884,7 +884,7 @@ class TestCompareCommand:
     def test_eigensolver_failure_exit_code(self, tmp_path, monkeypatch, caplog):
         from lpspec import verify
 
-        def failing(matrix):
+        def failing(matrix, **kwargs):
             raise EigensolverError("synthetic failure")
 
         monkeypatch.setattr(verify, "sym_eigenvalues", failing)

@@ -251,6 +251,27 @@ class TestGram:
         ev = sym_eigenvalues(gram(m)).eigenvalues
         assert ev.min() >= -1e-10 * max(1.0, ev.max())
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("blocks", [1, 3, 8])
+    def test_column_blocks_accumulate_the_gram(self, layout, blocks):
+        # one block gives gram's syrk bits; more sum the 700 products in another
+        # order, which moves each entry by a few units in the last place.
+        # The completed Gram is exactly symmetric
+        from lpspec.matrices import _symmetrized
+
+        m = np.random.default_rng(blocks).standard_normal((2 * 130, 3 * 700))
+        m = {"C": m[:130, :700].copy(), "F": np.asfortranarray(m[:130, :700]), "strided": m[::2, ::3]}[layout]
+        out = np.zeros((130, 130))
+        for cols in np.array_split(np.arange(700), blocks):
+            assert gram(m[:, cols[0]:cols[-1] + 1], out=out) is out
+        assert np.all(np.tril(out, -1) == 0.0)  # only the upper triangle is added to
+        g = _symmetrized(out, 130)
+        np.testing.assert_array_equal(g, g.T)
+        whole = gram(m)
+        if blocks == 1 and layout != "strided":  # numpy takes a strided product another way
+            assert g.tobytes() == whole.tobytes()
+        assert np.max(np.abs(g - whole)) <= 1e-14 * np.max(whole)
+
 
 class TestShiftRepresentation:
     def test_nilpotent_and_reversal(self):

@@ -235,6 +235,45 @@ class TestSimulateRecord:
         ref = np.fft.irfft(np.fft.rfft(draws, size) * np.fft.rfft(kernel, size), size)
         assert simulate_record(spec, length).tobytes() == ref[j : j + length].tobytes()
 
+    @pytest.mark.parametrize("distribution", ["gaussian", "rademacher", "uniform"])
+    @pytest.mark.parametrize("model", [CoefficientModel.ma([0.5]), CoefficientModel.ar1(0.9),
+                                       CoefficientModel.arma([0.5], [0.4])], ids=["ma", "ar1", "arma"])
+    @pytest.mark.parametrize("block", [7, 1000, 4099])
+    def test_pieces_concatenate_to_the_record(self, distribution, model, block):
+        # pieces drawn and filtered one block at a time, at block sizes that
+        # divide neither the horizon nor the length, are the record bit for bit
+        spec = ProcessSpec(model, InnovationSpec(distribution, seed=3), default_horizon(model, 130))
+        length = 97 * 130
+        assert spec.horizon % block and length % block
+        pieces = [piece.copy() for piece in simulate_record(spec, length, block)]
+        assert [piece.size for piece in pieces[:-1]] == [block] * (len(pieces) - 1)
+        assert np.concatenate(pieces).tobytes() == simulate_record(spec, length).tobytes()
+        # a shared draw yields each kernel's piece in turn
+        kernels = (np.ones(1), spec.coefficient_array())
+        shared = [piece.copy() for piece in filtered_records(spec, length, kernels, block)]
+        whole = [record.copy() for record in filtered_records(spec, length, kernels)]
+        assert [np.concatenate(shared[k::2]).tobytes() for k in (0, 1)] == [r.tobytes() for r in whole]
+
+    def test_an_fft_kernel_yields_whole_records_in_any_block(self):
+        model = CoefficientModel.ar1(0.99)
+        spec = ProcessSpec(model, InnovationSpec(seed=4), default_horizon(model, 64, 1e-6), 1e-6)
+        assert spec.coefficient_array().size > _DIRECT_TAPS
+        [record] = list(simulate_record(spec, 5000, 64))
+        assert record.tobytes() == simulate_record(spec, 5000).tobytes()
+
+    def test_spec_builds_its_kernel_once_and_hands_out_copies(self, monkeypatch):
+        import lpspec.process as process_mod
+
+        built = []
+        build = process_mod.coefficients
+        monkeypatch.setattr(process_mod, "coefficients", lambda *args: built.append(args) or build(*args))
+        spec = ProcessSpec(CoefficientModel.ar1(0.9), InnovationSpec(), 131)
+        first = spec.coefficient_array()
+        first[0] = 7.0
+        assert spec.coefficient_array()[0] == 1.0 and spec.coefficient_array().size == 132
+        assert len(built) == 1
+        assert spec == ProcessSpec(CoefficientModel.ar1(0.9), InnovationSpec(), 131) and "_kernel" not in repr(spec)
+
     def test_coefficient_array_is_the_kernel_a_record_is_filtered_by(self):
         # c_0..c_K: K is the order of a finite-order model and the horizon otherwise
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(), 1024)

@@ -102,6 +102,31 @@ class TestSymEigenvalues:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             sym_eigenvalues(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            sym_eigenvalues(np.ones((2, 3, 3)))
+
+    @pytest.mark.parametrize("p", [2, 256, 1024])
+    def test_handed_over_gram_gives_the_eigvalsh_bits_in_place(self, p):
+        # at one BLAS thread, as an ensemble runs; the Gram is LAPACK's workspace
+        from lpspec.verify import _one_blas_thread
+
+        g = gram(np.random.default_rng(p).standard_normal((p, 2 * p)))
+        with _one_blas_thread():
+            want = np.linalg.eigvalsh(g).tobytes()
+            assert sym_eigenvalues(g, overwrite=True).eigenvalues.tobytes() == want
+
+    def test_a_matrix_that_cannot_be_overwritten_is_copied(self):
+        g = gram(np.random.default_rng(5).standard_normal((64, 128)))
+        want = np.linalg.eigvalsh(g).tobytes()
+        for m in (np.asfortranarray(g), g.tolist()):
+            kept = np.array(m, copy=True)
+            assert sym_eigenvalues(m, overwrite=True).eigenvalues.tobytes() == want
+            assert np.array_equal(np.asarray(m), kept)
+
+    def test_a_handed_over_nan_raises_naming_the_solve(self):
+        m = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(EigensolverError, match=r"^dsyevd failed on 2x2 matrix: info -5$"):
+            sym_eigenvalues(m, overwrite=True)
 
     @pytest.mark.parametrize("p", [8, 64, 512])
     def test_trace_identities(self, p):
@@ -113,59 +138,6 @@ class TestSymEigenvalues:
         tr2 = np.trace(m @ m)
         assert abs(ev.sum() - tr) <= 1e-8 * max(1.0, abs(tr))
         assert abs(np.sum(ev * ev) - tr2) <= 1e-8 * max(1.0, abs(tr2))
-
-
-class TestStackedEigenvalues:
-    """`sym_eigenvalues` of a (k, m, m) stack: one eigvalsh call, per-matrix checks."""
-
-    @staticmethod
-    def grams(m, count=2):
-        rng = np.random.default_rng(m)
-        return [gram(rng.standard_normal((m, 2 * m))) for _ in range(count)]
-
-    @staticmethod
-    def alone(matrix):
-        """The 2-D call's spectrum bytes, or its error's type and message."""
-        try:
-            return sym_eigenvalues(matrix).eigenvalues.tobytes()
-        except (ValueError, EigensolverError) as exc:
-            return type(exc), str(exc)
-
-    @staticmethod
-    def stacked(matrices):
-        return [(type(out), str(out)) if isinstance(out, Exception) else out.eigenvalues.tobytes()
-                for out in sym_eigenvalues(np.stack(matrices))]
-
-    @pytest.mark.parametrize("m", [64, 128, 250, 251, 256, 500])
-    def test_stack_gives_the_bits_of_each_matrix_alone(self, m):
-        grams = self.grams(m)
-        assert self.stacked(grams) == [self.alone(g) for g in grams]
-
-    def test_only_the_asymmetric_matrix_of_a_stack_fails(self):
-        grams = self.grams(256, 3)
-        grams[1][3, 17] += 1e-6
-        stacked = self.stacked(grams)
-        assert stacked == [self.alone(g) for g in grams]
-        assert stacked[1] == (ValueError, "matrix is not symmetric: max |M - M^T| = 1.000e-06")
-
-    @pytest.mark.parametrize("m, message", [(2, "eigenvalue sum nan violates trace "),
-                                            (256, "eigvalsh failed on 256x256 matrix: "
-                                                  "Eigenvalues did not converge")])
-    def test_only_the_nan_matrix_of_a_stack_fails(self, m, message):
-        # at 2 eigvalsh returns NaN eigenvalues; at 256 it raises for the
-        # whole stack, and each matrix is then eigensolved alone
-        grams = self.grams(m)
-        grams[0][1, 0] = grams[0][0, 1] = np.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            stacked = self.stacked(grams)
-        assert stacked == [self.alone(g) for g in grams]
-        assert stacked[0][0] is EigensolverError and stacked[0][1].startswith(message)
-        assert isinstance(stacked[1], bytes)
-
-    def test_rejects_a_stack_of_nonsquare_matrices(self):
-        with pytest.raises(ValueError, match="square"):
-            sym_eigenvalues(np.ones((2, 3, 4)))
 
 
 class TestEsdCdf:
