@@ -45,12 +45,11 @@ from .process import (
     default_horizon,
     spectral_density,
 )
-from .spectra import EigensolverError
+from .spectra import EigensolverError, _openblas
 from .verify import (
     CalibrationError,
     EnsembleConfig,
     EnsembleReport,
-    _openblas,
     calibrate_equation_variant,
     convergence_study,
     run_ensemble,

@@ -130,7 +130,8 @@ def gram(matrix, out: np.ndarray | None = None) -> np.ndarray:
 
     The product is divided by p in place, so the Gram is the only array made.
     Given `out`, a zeroed C-ordered float64 array, M M^T is added to its upper
-    triangle instead, as numpy's syrk forms it, to be completed by `_symmetrized`."""
+    triangle instead (all of it without the OpenBLAS binding), undivided: the
+    triangle that `sym_eigenvalues(out, overwrite=True)` reads."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("gram expects a 2-d matrix")
@@ -145,16 +146,6 @@ def gram(matrix, out: np.ndarray | None = None) -> np.ndarray:
     else:  # row-major, upper, transposed: out += (a^T)^T a^T, with beta = 1
         lib.scipy_cblas_dsyrk64_(101, 121, 112, len(m), m.shape[1], 1.0, a.ctypes.data, len(m), 1.0,
                                  out.ctypes.data, len(m))
-    return out
-
-
-def _symmetrized(out: np.ndarray, rows: int) -> np.ndarray:
-    """The Gram `gram(..., out=out)` added up for `rows` rows, in place: the
-    upper triangle mirrored and divided by `rows`; for one block, `gram`'s bits."""
-    for j in range(0, len(out), 64):  # strictly below the diagonal of each 64-column strip
-        below = np.tri(len(out) - j, min(64, len(out) - j), -1, dtype=bool)
-        np.copyto(out[j:, j:j + 64], out[j:j + 64, j:].T, where=below)
-    out /= rows
     return out
 
 

@@ -56,22 +56,22 @@ class EmpiricalSpectrum:
 def sym_eigenvalues(matrix, *, overwrite: bool = False) -> EmpiricalSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Rejects non-symmetric input (relative tolerance 1e-10).  Eigenvalues off
-    the trace identity, as from a failed factorization or a non-finite
-    diagonal or lower triangle (NaN ones), raise EigensolverError.
-
-    With `overwrite` the caller hands its matrix over, as an ensemble does a
-    Gram: numpy's OpenBLAS runs dsyevd in place on its upper triangle (of a
-    writeable C-ordered copy if need be) without the GIL, with `eigvalsh`'s
-    bits at one BLAS thread.  By default, or without it, `eigvalsh` solves.
+    By default the matrix must be symmetric (relative tolerance 1e-10), and
+    `eigvalsh` solves its lower triangle.  With `overwrite` the caller hands
+    over a matrix whose upper triangle alone is valid, as `gram(out=)` forms
+    it: numpy's OpenBLAS runs dsyevd in place on that triangle (of a writeable
+    C-ordered copy if need be) without the GIL, with `eigvalsh`'s bits at one
+    BLAS thread, or else `eigvalsh` solves the transpose.  Eigenvalues off the
+    trace identity, as from a failed factorization or a NaN in the triangle
+    read, raise EigensolverError.
     """
     m = np.require(matrix, float, "CAW") if overwrite else np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     asym, rows = 0.0, max(1, 2**14 // max(len(m), 1))  # a block of differences is at most 128 KB
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which the trace check refuses
-        for i in range(0, len(m), rows):  # max |M - M^T| on the upper triangle; a NaN propagates
-            d = m[i:i + rows, i:] - m[i:, i:i + rows].T
+        for i in range(0, 0 if overwrite else len(m), rows):  # max |M - M^T|, unless handed over
+            d = m[i:i + rows, i:] - m[i:, i:i + rows].T  # on the upper triangle; a NaN propagates
             asym = float(np.abs(d, out=d).max(initial=asym))
         trace = float(np.trace(m))
     if asym and asym > _SYMMETRY_TOL * max(1.0, float(m.max()), -float(m.min())):
@@ -79,7 +79,7 @@ def sym_eigenvalues(matrix, *, overwrite: bool = False) -> EmpiricalSpectrum:
     lib = _openblas() if overwrite else None
     if lib is None:
         try:
-            ev = np.linalg.eigvalsh(m)
+            ev = np.linalg.eigvalsh(m.T if overwrite else m)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigvalsh failed on {m.shape[0]}x{m.shape[1]} matrix: {exc}")
     else:  # column-major 'L' is the row-major upper triangle

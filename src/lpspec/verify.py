@@ -26,7 +26,8 @@ machine, on max(jobs, 2) lanes, or `jobs` where two records do not fit the
 memory budget.  A lane is a thread, the calling one among them; lane k of L
 takes replicates k, k + L, k + 2L, ... and eigensolves each Gram in place
 without the GIL, so the lanes overlap.  At p > n it holds no whole record:
-it adds the record's rows, a block at a time, into the n x n Gram.
+it adds the record's rows, a block at a time, into the upper triangle of the
+n x n Gram, the one triangle that eigensolve reads.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .lsd import (
     lsd_cdf,
     solve_lsd,
 )
-from .matrices import MatrixShape, _symmetrized, gram, segment_matrix
+from .matrices import MatrixShape, gram, segment_matrix
 from .process import (
     _BLOCK,
     CoefficientModel,
@@ -90,9 +91,7 @@ __all__ = [
 log = logging.getLogger("lpspec.verify")
 
 _MASK64 = (1 << 64) - 1
-# memory budget of an ensemble, in cells: a p x n record for each lane with a
-# replicate in flight, min(lanes, replicates) of them (`_lanes`), and p
-# eigenvalues per replicate
+# memory budget of an ensemble, in cells (`_cells`)
 _MAX_CELLS = 1 << 25
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
@@ -144,7 +143,7 @@ class EnsembleConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        cells = self.p * self.n * min(_lanes(self), self.replicates) + self.p * self.replicates
+        cells = _cells(self, _lanes(self))
         if cells > _MAX_CELLS:
             raise ValueError(f"p*n*min(jobs, replicates) + p*replicates = {cells} exceeds the "
                              f"memory budget of {_MAX_CELLS} cells")
@@ -250,9 +249,9 @@ def _grams(config: EnsembleConfig, replicate: int, kernels=None):
     """(Gram, trace statistic) of each record of `replicate` in turn, each
     Gram the caller's to overwrite.  At p > n, XX^T/p has the eigenvalues of
     X^TX/p = gram(X^T) n/p and p - n exact zeros, and each record's pieces
-    add into its own n x n Gram.  The model's record is squared in place for
-    the trace statistic; the records of `kernels` share their draws, so they
-    take none (None)."""
+    add into the upper triangle of its own n x n Gram, all that is valid of
+    it.  The model's record is squared in place for the trace statistic; the
+    records of `kernels` share their draws, so they take none (None)."""
     p, n = config.p, config.n
     if p <= n:
         for record in _pieces(config, replicate, kernels):
@@ -268,7 +267,7 @@ def _grams(config: EnsembleConfig, replicate: int, kernels=None):
             squares += _sum_of_squares(x)
         del x, piece  # before the next piece is drawn
     for g in grams:
-        yield _symmetrized(g, n), squares / p ** 2 if kernels is None else None
+        yield np.divide(g, n, out=g), squares / p ** 2 if kernels is None else None
 
 
 def _one_lane(config: EnsembleConfig, replicates, kernels=None) -> list:
@@ -311,10 +310,15 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(threads)
 
 
+def _cells(config: EnsembleConfig, lanes: int) -> int:
+    """The cells an ensemble on `config` holds on `lanes` lanes: a p x n record
+    for each lane with a replicate in flight, and p eigenvalues per replicate."""
+    return config.p * config.n * min(lanes, config.replicates) + config.p * config.replicates
+
+
 def _lanes(config: EnsembleConfig) -> int:
     """The lanes `_replicates` runs on: `jobs`, or two at jobs 1 where two records fit `_MAX_CELLS`."""
-    two = config.p * config.n * min(2, config.replicates) + config.p * config.replicates
-    return 2 if config.jobs == 1 and two <= _MAX_CELLS else config.jobs
+    return 2 if config.jobs == 1 and _cells(config, 2) <= _MAX_CELLS else config.jobs
 
 
 def _replicates(config: EnsembleConfig, kernels=None) -> list:

@@ -847,7 +847,7 @@ class TestCompareCommand:
         # record is streamed into the n x n Gram, two pieces of 256 rows here
         import hashlib
 
-        from lpspec.verify import _openblas
+        from lpspec.spectra import _openblas
 
         cfg = write_config(
             tmp_path,

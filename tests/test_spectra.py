@@ -113,6 +113,24 @@ class TestSymEigenvalues:
             want = np.linalg.eigvalsh(g).tobytes()
             assert sym_eigenvalues(g, overwrite=True).eigenvalues.tobytes() == want
 
+    @pytest.mark.parametrize("below", [0.0, np.nan], ids=["zero", "nan"])
+    @pytest.mark.parametrize("binding", [True, False], ids=["openblas", "numpy"])
+    @pytest.mark.parametrize("p", [2, 256, 1024])
+    def test_a_handed_over_upper_triangle_gives_the_eigvalsh_bits(self, monkeypatch, below, binding, p):
+        # the strict lower triangle is never read: dsyevd reads the upper one
+        # in place, and without the binding eigvalsh the lower one of the transpose
+        import lpspec.spectra
+        from lpspec.verify import _one_blas_thread
+
+        g = gram(np.random.default_rng(p).standard_normal((p, 2 * p)))
+        m = np.triu(g)
+        m[np.tril_indices(p, -1)] = below
+        if not binding:
+            monkeypatch.setattr(lpspec.spectra, "_openblas", lambda: None)
+        with _one_blas_thread():
+            want = np.linalg.eigvalsh(g).tobytes()
+            assert sym_eigenvalues(m, overwrite=True).eigenvalues.tobytes() == want
+
     def test_a_matrix_that_cannot_be_overwritten_is_copied(self):
         g = gram(np.random.default_rng(5).standard_normal((64, 128)))
         want = np.linalg.eigvalsh(g).tobytes()
