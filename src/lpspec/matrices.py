@@ -63,7 +63,7 @@ def truncated_segment_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarra
     matrix.
     """
     kernel = spec.coefficient_array()[: shape.n + 1]
-    return next(filtered_records(spec, shape.cells, (kernel,))).reshape(shape.p, shape.n)
+    return next(filtered_records(spec, shape.cells, kernel)).reshape(shape.p, shape.n)
 
 
 def innovation_matrix(spec: ProcessSpec, shape: MatrixShape) -> np.ndarray:

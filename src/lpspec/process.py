@@ -407,6 +407,12 @@ class ProcessSpec:
         return self._kernel.copy()
 
 
+def _taps(kernel) -> int:
+    """The taps of `kernel` once its trailing zeros are trimmed, at least one."""
+    nz = np.flatnonzero(kernel)
+    return int(nz[-1]) + 1 if nz.size else 1
+
+
 def simulate_record(spec: ProcessSpec, length: int, block: int | None = None):
     """Simulate X_1..X_length with X_t = sum_{j=0}^{J} c_j Z_{t-j}.
 
@@ -415,28 +421,28 @@ def simulate_record(spec: ProcessSpec, length: int, block: int | None = None):
     is bit-reproducible given (seed, horizon, distribution).  Given `block`,
     returns instead an iterator over the record's pieces of `block` samples.
     """
-    records = filtered_records(spec, length, (spec.coefficient_array(),), block)
+    records = filtered_records(spec, length, spec.coefficient_array(), block)
     return records if block is not None else next(records)
 
 
-def filtered_records(spec: ProcessSpec, length: int, kernels, block: int | None = None):
-    """X_1..X_length filtered by each of `kernels` in turn, from one draw of
-    the J + length innovations of the spec's stream (the spec's own
-    coefficients are not read), in pieces of `block` samples (default: all),
-    each kernel's piece in turn.  Pieces are drawn and filtered as they are
-    asked for, so read each before asking for the next; they concatenate to
-    the whole records bit for bit.
+def filtered_records(spec: ProcessSpec, length: int, kernel, block: int | None = None,
+                     with_draws: bool = False):
+    """X_1..X_length filtered by `kernel` from the J + length innovations of
+    the spec's stream (the spec's own coefficients are not read), in pieces
+    of `block` samples (default: all).  Given `with_draws`, each piece of the
+    draws, the white-noise record, comes first, before the filter overwrites
+    it.  Pieces are drawn and filtered as they are asked for, so read each
+    before asking for the next; they concatenate to the whole record bit for
+    bit.
 
     Trailing zero coefficients are trimmed, and the K taps left must satisfy
     J >= K - 1, so that every kept output overlaps the kernel fully.  The
-    unit kernel (white noise) leaves the draws as they are: its record is
-    the draws themselves, which is what ``np.convolve`` writes.  Other
-    kernels may overwrite the draws, so every kernel but the last must be
-    the unit kernel.  Kernels of up to `_DIRECT_TAPS` taps filter a piece's
-    draws, after the K - 1 before it, in place from back to front one
-    `_BLOCK` at a time, each output the dot product ``np.convolve`` takes.
-    Longer kernels yield whole records, each an FFT product at a power-of-two
-    length, which moves it at rounding level.
+    unit kernel leaves the draws as they are, which is what ``np.convolve``
+    writes.  Kernels of up to `_DIRECT_TAPS` taps filter a piece's draws,
+    after the K - 1 before it, in place from back to front one `_BLOCK` at
+    a time, each output the dot product ``np.convolve`` takes.  Longer
+    kernels yield the whole record, an FFT product at a power-of-two length,
+    which moves it at rounding level.
     """
     j = spec.horizon
     if length < 1:
@@ -444,18 +450,10 @@ def filtered_records(spec: ProcessSpec, length: int, kernels, block: int | None 
     if j + length > _MAX_INDEX:
         raise ValueError(f"record of length {length} at horizon {j} exceeds the "
                          "supported index range")
-    trimmed = []
-    for kernel in kernels:
-        nz = np.nonzero(kernel)[0]
-        kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-        if kernel.size > j + 1:
-            raise ValueError(f"a kernel of {kernel.size} taps needs a horizon of at least "
-                             f"{kernel.size - 1}, not {j}")
-        trimmed.append(kernel)
-    unit = [k.size == 1 and k[0] == 1.0 for k in trimmed]
-    if not all(unit[:-1]):
-        raise ValueError("only the unit kernel leaves the draws to the kernel after it")
-    kernel, taps = trimmed[-1], trimmed[-1].size
+    taps = _taps(kernel)
+    kernel, unit = kernel[:taps], taps == 1 and kernel[0] == 1.0
+    if taps > j + 1:
+        raise ValueError(f"a kernel of {taps} taps needs a horizon of at least {taps - 1}, not {j}")
     rng = np.random.default_rng(int(spec.innovations.seed))
     block = length if block is None or taps > _DIRECT_TAPS else block
     for first in range(0, length, block):
@@ -464,7 +462,7 @@ def filtered_records(spec: ProcessSpec, length: int, kernels, block: int | None 
         if first:
             draws = np.concatenate([carry, draws])
         start = draws.size - size
-        for _ in trimmed[:-1]:
+        if with_draws:
             yield draws[start:]
         if taps > _DIRECT_TAPS:  # one piece; the draws are released before the inverse transform
             fft = 1 << (draws.size + taps - 2).bit_length()
@@ -474,7 +472,7 @@ def filtered_records(spec: ProcessSpec, length: int, kernels, block: int | None 
             yield np.fft.irfft(spectrum, fft)[j : j + length]
             return
         carry = draws[draws.size - (taps - 1):].copy()  # the inputs the next piece reads first
-        if not unit[-1]:
+        if not unit:
             for end in range(draws.size, start, -_BLOCK):
                 begin = max(start, end - _BLOCK)
                 draws[begin:end] = np.convolve(draws[begin - (taps - 1) : end], kernel, "valid")

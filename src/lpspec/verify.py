@@ -15,19 +15,21 @@ may run on a thread pool; assembly is an ordered reduction over replicate
 indices, so the worker count cannot change a single output byte.
 
 Ensembles that differ in their model alone draw the same innovation
-streams, so one draw per replicate can serve several models when each of
-them but the last is white noise, whose record is the draws themselves:
-calibration filters its MA(0.5) confirmation from the first seed's
-white-noise draws.
+streams, and a white-noise record is the draws themselves, so an ensemble
+run with its draws is a white-noise ensemble too: calibration runs its
+MA(0.5) confirmation so, and reads the first seed's white-noise replicates
+off its draws.
 
 Every ensemble runs its Grams and eigensolves at one thread of numpy's
 bundled OpenBLAS, so its bytes are those of a one-thread run on every
-machine, on max(jobs, 2) lanes, or `jobs` where two records do not fit the
+machine, on max(jobs, 2) lanes, or `jobs` where two lanes do not fit the
 memory budget.  A lane is a thread, the calling one among them; lane k of L
 takes replicates k, k + L, k + 2L, ... and eigensolves each Gram in place
 without the GIL, so the lanes overlap.  At p > n it holds no whole record:
 it adds the record's rows, a block at a time, into the upper triangle of the
-n x n Gram, the one triangle that eigensolve reads.
+n x n Gram, the one triangle that eigensolve reads.  The budget counts what
+a lane holds (`_lane_cells`): such a block and two Grams, a whole record,
+or the buffers of an FFT filter.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ from .lsd import (
 from .matrices import MatrixShape, gram, segment_matrix
 from .process import (
     _BLOCK,
+    _DIRECT_TAPS,
     CoefficientModel,
     InnovationSpec,
     ProcessSpec,
+    _taps,
+    coefficients,
     default_horizon,
     filtered_records,
     simulate_record,
@@ -91,7 +96,7 @@ __all__ = [
 log = logging.getLogger("lpspec.verify")
 
 _MASK64 = (1 << 64) - 1
-# memory budget of an ensemble, in cells (`_cells`)
+# memory budget of an ensemble, in cells: what its lanes hold and its eigenvalues (`_cells`)
 _MAX_CELLS = 1 << 25
 # pooled KS every non-selected variant must reach in a decisive calibration
 _FAIL_THRESHOLD = 0.10
@@ -143,12 +148,13 @@ class EnsembleConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        cells = _cells(self, _lanes(self))
-        if cells > _MAX_CELLS:
-            raise ValueError(f"p*n*min(jobs, replicates) + p*replicates = {cells} exceeds the "
-                             f"memory budget of {_MAX_CELLS} cells")
         object.__setattr__(self, "_horizon", self.horizon if self.horizon is not None
                            else default_horizon(self.model, self.n, self.tail_tol))
+        lanes = min(_lanes(self), self.replicates)
+        if (cells := _cells(self, lanes)) > _MAX_CELLS:
+            raise ValueError(f"lanes*cells_per_lane + p*replicates = {lanes}*{_lane_cells(self)} + "
+                             f"{self.p * self.replicates} = {cells} exceeds the memory budget of "
+                             f"{_MAX_CELLS} cells")
 
     @property
     def shape(self) -> MatrixShape:
@@ -235,49 +241,51 @@ def _scored_cdfs(config: EnsembleConfig, y: float | None = None) -> dict:
     return {label: lsd_cdf(law) for label, law in laws.items()}
 
 
-def _pieces(config: EnsembleConfig, replicate: int, kernels=None):
-    """The records of `replicate`, the model's or each of `kernels`', whole at
-    p <= n and else in pieces of max(1, `_BLOCK` // n) rows (`filtered_records`)."""
+def _pieces(config: EnsembleConfig, replicate: int, with_draws: bool = False):
+    """The model's record of `replicate`, whole at p <= n and else in pieces
+    of max(1, `_BLOCK` // n) rows, each after its draws given `with_draws`
+    (`filtered_records`)."""
     spec, cells = config.replicate_spec(replicate), config.shape.cells
     block = cells if config.p <= config.n else max(1, _BLOCK // config.n) * config.n
-    if kernels is None:
+    if not with_draws:
         return simulate_record(spec, cells, block)
-    return filtered_records(spec, cells, kernels, block)
+    return filtered_records(spec, cells, spec.coefficient_array(), block, with_draws=True)
 
 
-def _grams(config: EnsembleConfig, replicate: int, kernels=None):
-    """(Gram, trace statistic) of each record of `replicate` in turn, each
-    Gram the caller's to overwrite.  At p > n, XX^T/p has the eigenvalues of
-    X^TX/p = gram(X^T) n/p and p - n exact zeros, and each record's pieces
-    add into the upper triangle of its own n x n Gram, all that is valid of
-    it.  The model's record is squared in place for the trace statistic; the
-    records of `kernels` share their draws, so they take none (None)."""
+def _grams(config: EnsembleConfig, replicate: int, with_draws: bool = False):
+    """(Gram, trace statistic) of each record of `replicate` in turn, the
+    white-noise record of its draws first given `with_draws`, each Gram the
+    caller's to overwrite.  At p > n, XX^T/p has the eigenvalues of X^TX/p =
+    gram(X^T) n/p and p - n exact zeros, and each record's pieces add into
+    the upper triangle of its own n x n Gram, all that is valid of it.  The
+    model's record is squared in place for the trace statistic; records that
+    share their draws take none (None)."""
     p, n = config.p, config.n
     if p <= n:
-        for record in _pieces(config, replicate, kernels):
+        for record in _pieces(config, replicate, with_draws):
             x = segment_matrix(record, config.shape)
-            yield gram(x), _sum_of_squares(x) / p ** 2 if kernels is None else None
+            yield gram(x), None if with_draws else _sum_of_squares(x) / p ** 2
         return
-    grams, squares = [np.zeros((n, n)) for _ in kernels or [None]], 0.0
-    slots = itertools.cycle(grams)  # each block's pieces come in kernel order
-    for piece in _pieces(config, replicate, kernels):
+    grams, squares = [np.zeros((n, n)) for _ in range(1 + with_draws)], 0.0
+    slots = itertools.cycle(grams)  # each block's draws come before its record
+    for piece in _pieces(config, replicate, with_draws):
         x = segment_matrix(piece, MatrixShape(piece.size // n, n))
         gram(x.T, out=next(slots))
-        if kernels is None:
+        if not with_draws:
             squares += _sum_of_squares(x)
         del x, piece  # before the next piece is drawn
     for g in grams:
-        yield np.divide(g, n, out=g), squares / p ** 2 if kernels is None else None
+        yield np.divide(g, n, out=g), None if with_draws else squares / p ** 2
 
 
-def _one_lane(config: EnsembleConfig, replicates, kernels=None) -> list:
+def _one_lane(config: EnsembleConfig, replicates, with_draws: bool = False) -> list:
     """(eigenvalues, trace statistic) of each record of `replicates` in turn
     (`_grams`), each Gram eigensolved in place before the next is formed.
     None stands in for a record whose eigensolve failed, which is logged."""
     p, n = config.p, config.n
     out = []
     for r in replicates:
-        for g, stat in _grams(config, r, kernels):
+        for g, stat in _grams(config, r, with_draws):
             try:
                 evs = sym_eigenvalues(g, overwrite=True).eigenvalues
                 out.append((evs if p <= n else np.concatenate([np.zeros(p - n), evs * (n / p)]), stat))
@@ -310,30 +318,46 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(threads)
 
 
+def _lane_cells(config: EnsembleConfig) -> int:
+    """The cells a lane of an ensemble on `config` holds.  A kernel of up to
+    `_DIRECT_TAPS` taps filters in place, so the lane holds a p x n record
+    or, streamed at p > n, a piece of max(1, `_BLOCK` // n) rows and two
+    n x n Grams (calibration's shared pass fills two), whichever is fewer.
+    A longer kernel is convolved through an F-point FFT of the whole record:
+    the transforms hold the draws or a spectrum, the kernel's spectrum and
+    pocketfft's scratch, 4F cells in all, and the allocator keeps up to 2F
+    more between records (a lane measured 4.4 to 5.7F), beside two Grams."""
+    p, n, horizon, order = config.p, config.n, config.resolved_horizon(), config.model.finite_order
+    taps = order + 1 if order is not None else _taps(coefficients(config.model, horizon + 1))
+    if taps > _DIRECT_TAPS:
+        return 6 * (1 << (horizon + p * n + taps - 2).bit_length()) + 2 * min(p, n) ** 2
+    return min(p * n, max(1, _BLOCK // n) * n + 2 * n * n)
+
+
 def _cells(config: EnsembleConfig, lanes: int) -> int:
-    """The cells an ensemble on `config` holds on `lanes` lanes: a p x n record
+    """The cells an ensemble on `config` holds on `lanes` lanes: `_lane_cells`
     for each lane with a replicate in flight, and p eigenvalues per replicate."""
-    return config.p * config.n * min(lanes, config.replicates) + config.p * config.replicates
+    return _lane_cells(config) * min(lanes, config.replicates) + config.p * config.replicates
 
 
 def _lanes(config: EnsembleConfig) -> int:
-    """The lanes `_replicates` runs on: `jobs`, or two at jobs 1 where two records fit `_MAX_CELLS`."""
+    """The lanes `_replicates` runs on: `jobs`, or two at jobs 1 where two lanes fit `_MAX_CELLS`."""
     return 2 if config.jobs == 1 and _cells(config, 2) <= _MAX_CELLS else config.jobs
 
 
-def _replicates(config: EnsembleConfig, kernels=None) -> list:
+def _replicates(config: EnsembleConfig, with_draws: bool = False) -> list:
     """`_one_lane` results of every record, in replicate order, at one BLAS
     thread, with lane k of L taking replicates k, k + L, ...: lane 0 is the
     calling thread, each other a helper thread."""
     lanes = min(_lanes(config), config.replicates)
 
     def lane(k: int) -> list:
-        return _one_lane(config, range(k, config.replicates, lanes), kernels)
+        return _one_lane(config, range(k, config.replicates, lanes), with_draws)
 
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
         helpers = pool.map(lane, range(1, lanes))
         done = [lane(0), *helpers]
-    per = 1 if kernels is None else len(kernels)  # records per replicate
+    per = 1 + with_draws  # records per replicate
     return [done[r % lanes][r // lanes * per + i] for r in range(config.replicates) for i in range(per)]
 
 
@@ -463,9 +487,9 @@ def calibrate_equation_variant(
     reaches pooled KS <= pass_threshold while every other stays >= 0.10,
     identically across seeds.  A confirmation ensemble with a dependent
     process, the first-order moving average MA(0.5), must also pass.  It
-    filters the innovation streams of the first seed's white-noise
-    replicates, which it shares draw for draw (same seeds, same horizon), so
-    each of those streams is drawn once for both ensembles.  The
+    runs with its draws, which are the first seed's white-noise replicates
+    draw for draw (same seeds, same horizon), so each of those streams is
+    drawn once for both ensembles.  The
     confirmation's law is solved, and its KS taken, only after a decisive
     verdict; a calibration that fails has still paid for the confirmation's
     Grams and eigensolves.  Only the pooled KS of each ensemble is read, so
@@ -490,14 +514,13 @@ def calibrate_equation_variant(
         variants=variants,
         **settings,
     )
+    # the same seeds and horizon (the one set, or n): its draws are the white-noise records
     confirm_config = replace(base_config, model=CoefficientModel.ma([0.5]))
-    # one horizon for both (the one set, or n), so they can share their draws
-    kernels = [c.replicate_spec(0).coefficient_array() for c in (base_config, confirm_config)]
     laws = _candidate_laws(base_config)
     candidates = {label: lsd_cdf(law) for label, law in laws.items()}
     in_range = {label: law_range_violation(law) is None for label, law in laws.items()}
 
-    shared = _replicates(base_config, kernels)  # each replicate's white and MA(0.5) records in turn
+    shared = _replicates(confirm_config, with_draws=True)  # each replicate's draws, then its record
     white, confirm = (_report(config, shared[k::2], {}) for k, config in enumerate((base_config, confirm_config)))
     # one report per seed, each simulated only once the seed before is decided
     reports = itertools.chain([white], (run_ensemble(replace(base_config, base_seed=seed), {})

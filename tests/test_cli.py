@@ -743,7 +743,7 @@ class TestSimulateCommand:
     def test_budget_exceeded_no_partial_files(self, tmp_path):
         out = tmp_path / "run"
         code = run([
-            "simulate", "--p", "100000", "--n", "1000", "--out", str(out),
+            "simulate", "--p", "10000", "--n", "10000", "--out", str(out),
             "--config", write_config(tmp_path, {"command": "simulate", "model": {"kind": "white_noise"}}),
         ])
         assert code == 2
@@ -758,7 +758,7 @@ class TestSimulateCommand:
             "--config", write_config(tmp_path, {"command": "compare", "model": {"kind": "white_noise"}}),
         ])
         assert code == 2
-        assert "p*n*min(jobs, replicates) + p*replicates = 33562624" in caplog.text
+        assert "lanes*cells_per_lane + p*replicates = 2*16777216 + 8192 = 33562624" in caplog.text
         assert not out.exists() or not any(out.iterdir())
 
     def test_byte_identical_across_jobs(self, tmp_path):

@@ -248,10 +248,10 @@ class TestSimulateRecord:
         pieces = [piece.copy() for piece in simulate_record(spec, length, block)]
         assert [piece.size for piece in pieces[:-1]] == [block] * (len(pieces) - 1)
         assert np.concatenate(pieces).tobytes() == simulate_record(spec, length).tobytes()
-        # a shared draw yields each kernel's piece in turn
-        kernels = (np.ones(1), spec.coefficient_array())
-        shared = [piece.copy() for piece in filtered_records(spec, length, kernels, block)]
-        whole = [record.copy() for record in filtered_records(spec, length, kernels)]
+        # with its draws, each piece of draws comes before its piece of record
+        kernel = spec.coefficient_array()
+        shared = [piece.copy() for piece in filtered_records(spec, length, kernel, block, with_draws=True)]
+        whole = [record.copy() for record in filtered_records(spec, length, kernel, with_draws=True)]
         assert [np.concatenate(shared[k::2]).tobytes() for k in (0, 1)] == [r.tobytes() for r in whole]
 
     def test_an_fft_kernel_yields_whole_records_in_any_block(self):
@@ -286,15 +286,14 @@ class TestSimulateRecord:
     def test_kernel_longer_than_the_horizon_rejected(self):
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(), 1)
         with pytest.raises(ValueError, match="horizon of at least 2, not 1"):
-            next(filtered_records(spec, 10, (np.ones(3),)))
+            next(filtered_records(spec, 10, np.ones(3)))
 
-    def test_only_the_unit_kernel_leaves_its_draws_to_the_next(self):
+    def test_with_draws_yields_the_draws_before_the_record(self):
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(seed=2), 1)
-        records = filtered_records(spec, 100, (np.array([1.0, 0.0]), np.array([1.0, 0.5])))
+        records = filtered_records(spec, 100, spec.coefficient_array(), with_draws=True)
         assert next(records).tobytes() == draw_innovations(spec.innovations, 101)[1:].tobytes()
         assert next(records).tobytes() == simulate_record(spec, 100).tobytes()
-        with pytest.raises(ValueError, match="only the unit kernel"):
-            next(filtered_records(spec, 100, (np.array([1.0, 0.5]),) * 2))
+        assert next(records, None) is None
 
 
 class TestHorizonAndTail:
