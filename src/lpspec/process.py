@@ -413,6 +413,12 @@ def _taps(kernel) -> int:
     return int(nz[-1]) + 1 if nz.size else 1
 
 
+def _fft_points(taps: int, horizon: int, length: int) -> int:
+    """The points of the FFT that filters a record of `length` at `horizon`
+    by a kernel of `taps` taps, or 0 where that kernel is convolved directly."""
+    return 1 << (horizon + length + taps - 2).bit_length() if taps > _DIRECT_TAPS else 0
+
+
 def simulate_record(spec: ProcessSpec, length: int, block: int | None = None):
     """Simulate X_1..X_length with X_t = sum_{j=0}^{J} c_j Z_{t-j}.
 
@@ -451,11 +457,11 @@ def filtered_records(spec: ProcessSpec, length: int, kernel, block: int | None =
         raise ValueError(f"record of length {length} at horizon {j} exceeds the "
                          "supported index range")
     taps = _taps(kernel)
-    kernel, unit = kernel[:taps], taps == 1 and kernel[0] == 1.0
+    kernel, fft = kernel[:taps], _fft_points(taps, j, length)
     if taps > j + 1:
         raise ValueError(f"a kernel of {taps} taps needs a horizon of at least {taps - 1}, not {j}")
     rng = np.random.default_rng(int(spec.innovations.seed))
-    block = length if block is None or taps > _DIRECT_TAPS else block
+    block = length if block is None or fft else block
     for first in range(0, length, block):
         size = min(block, length - first)
         draws = draw_innovations(spec.innovations, size if first else j + size, rng)
@@ -464,15 +470,14 @@ def filtered_records(spec: ProcessSpec, length: int, kernel, block: int | None =
         start = draws.size - size
         if with_draws:
             yield draws[start:]
-        if taps > _DIRECT_TAPS:  # one piece; the draws are released before the inverse transform
-            fft = 1 << (draws.size + taps - 2).bit_length()
+        if fft:  # one piece; the draws are released before the inverse transform
             spectrum = np.fft.rfft(draws, fft)
             del draws
             spectrum *= np.fft.rfft(kernel, fft)
             yield np.fft.irfft(spectrum, fft)[j : j + length]
             return
         carry = draws[draws.size - (taps - 1):].copy()  # the inputs the next piece reads first
-        if not unit:
+        if taps > 1 or kernel[0] != 1.0:
             for end in range(draws.size, start, -_BLOCK):
                 begin = max(start, end - _BLOCK)
                 draws[begin:end] = np.convolve(draws[begin - (taps - 1) : end], kernel, "valid")

@@ -56,10 +56,10 @@ from .lsd import (
 from .matrices import MatrixShape, gram, segment_matrix
 from .process import (
     _BLOCK,
-    _DIRECT_TAPS,
     CoefficientModel,
     InnovationSpec,
     ProcessSpec,
+    _fft_points,
     _taps,
     coefficients,
     default_horizon,
@@ -319,18 +319,17 @@ def _one_blas_thread():
 
 
 def _lane_cells(config: EnsembleConfig) -> int:
-    """The cells a lane of an ensemble on `config` holds.  A kernel of up to
-    `_DIRECT_TAPS` taps filters in place, so the lane holds a p x n record
-    or, streamed at p > n, a piece of max(1, `_BLOCK` // n) rows and two
-    n x n Grams (calibration's shared pass fills two), whichever is fewer.
-    A longer kernel is convolved through an F-point FFT of the whole record:
-    the transforms hold the draws or a spectrum, the kernel's spectrum and
-    pocketfft's scratch, 4F cells in all, and the allocator keeps up to 2F
-    more between records (a lane measured 4.4 to 5.7F), beside two Grams."""
+    """The cells a lane of an ensemble on `config` holds.  A direct filter
+    works in place, so the lane holds a p x n record or, streamed at p > n,
+    a piece of max(1, `_BLOCK` // n) rows and two n x n Grams (calibration's
+    shared pass fills two), whichever is fewer.  An F-point FFT filter holds
+    the draws or a spectrum, the kernel's spectrum and pocketfft's scratch,
+    4F cells, and the allocator keeps up to 2F more between records (with
+    numpy 2.4 a lane peaked at 4.4 to 5.7F), beside two Grams."""
     p, n, horizon, order = config.p, config.n, config.resolved_horizon(), config.model.finite_order
     taps = order + 1 if order is not None else _taps(coefficients(config.model, horizon + 1))
-    if taps > _DIRECT_TAPS:
-        return 6 * (1 << (horizon + p * n + taps - 2).bit_length()) + 2 * min(p, n) ** 2
+    if fft := _fft_points(taps, horizon, p * n):
+        return 6 * fft + 2 * min(p, n) ** 2
     return min(p * n, max(1, _BLOCK // n) * n + 2 * n * n)
 
 

@@ -288,7 +288,8 @@ class TestSimulateRecord:
         with pytest.raises(ValueError, match="horizon of at least 2, not 1"):
             next(filtered_records(spec, 10, np.ones(3)))
 
-    def test_with_draws_yields_the_draws_before_the_record(self):
+    def test_only_the_unit_kernel_leaves_its_draws_to_the_next(self):
+        # the draws, the unit kernel's record, come first, then the filtered record
         spec = ProcessSpec(CoefficientModel.ma([0.5]), InnovationSpec(seed=2), 1)
         records = filtered_records(spec, 100, spec.coefficient_array(), with_draws=True)
         assert next(records).tobytes() == draw_innovations(spec.innovations, 101)[1:].tobytes()
